@@ -5,10 +5,13 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/budget.h"
 #include "common/check.h"
@@ -44,6 +47,10 @@ struct EdgeType {
   auto operator<=>(const EdgeType&) const = default;
 };
 
+/// Highest edge-type multiplicity with its own level-1 TID set; higher
+/// multiplicities fall back to this set (weaker but still exact).
+constexpr std::uint32_t kMaxTypeMult = 4;
+
 /// Per-pattern memory footprint used for the OOM budget. The TID set
 /// reports its exact heap footprint (DESIGN.md §12); the rest stays a
 /// structural estimate.
@@ -73,64 +80,184 @@ LabeledGraph WithoutEdge(const LabeledGraph& g, EdgeId drop) {
   return copy.Compact(/*drop_isolated_vertices=*/true);
 }
 
-/// Role of vertex v in edge e: 0 = source, 1 = destination, 2 = both
-/// (self-loop).
-std::uint32_t RoleOf(const Edge& e, VertexId v) {
-  if (e.src == v && e.dst == v) return 2;
-  return e.src == v ? 0 : 1;
+/// Dense edge-type ids, assigned in first-seen order and kept for the
+/// whole mine. Iterating the map visits the types in sorted key order.
+using TypeIds = std::map<graph::GraphView::EdgeTypeKey, std::uint32_t>;
+
+std::uint32_t InternType(TypeIds& ids,
+                         const graph::GraphView::EdgeTypeKey& key) {
+  const auto next = static_cast<std::uint32_t>(ids.size());
+  return ids.try_emplace(key, next).first->second;
 }
 
-void AppendU32(std::string* out, std::uint32_t x) {
-  out->append(reinterpret_cast<const char*>(&x), sizeof(x));
+/// Roles an edge end plays in a wedge (a connected 2-edge subgraph). When
+/// the two edges share only vertex v, each end records the edge's role at
+/// v; when they share both endpoints, each records whether the two edges
+/// run parallel or antiparallel.
+enum WedgeRole : std::uint32_t {
+  kRoleSrc = 0,
+  kRoleDst = 1,
+  kRoleLoop = 2,
+  kRoleParallel = 3,
+  kRoleAntiparallel = 4,
+};
+constexpr int kRoleBits = 3;
+constexpr std::uint64_t kRoleMask = (1u << kRoleBits) - 1;
+
+/// Role of vertex v in edge e.
+WedgeRole RoleOf(const Edge& e, VertexId v) {
+  if (e.src == v && e.dst == v) return kRoleLoop;
+  return e.src == v ? kRoleSrc : kRoleDst;
 }
 
-/// Serializes the adjacent edge pair (first, second) of `g` in that edge
-/// order: both edge types, then the shared-vertex descriptors (label,
-/// role in first, role in second), sorted. Works on any graph type with
-/// edge(e) and vertex_label(v) — LabeledGraph for candidate patterns,
-/// GraphView for transactions read through a TransactionSource.
-template <typename G>
-void AppendWedgeOrdering(const G& g, EdgeId first, EdgeId second,
-                         std::string* out) {
-  out->clear();
-  const Edge& a = g.edge(first);
-  const Edge& b = g.edge(second);
-  for (const Edge* e : {&a, &b}) {
-    AppendU32(out, static_cast<std::uint32_t>(g.vertex_label(e->src)));
-    AppendU32(out, static_cast<std::uint32_t>(g.vertex_label(e->dst)));
-    AppendU32(out, static_cast<std::uint32_t>(e->label));
-    AppendU32(out, e->src == e->dst ? 1 : 0);
+/// One edge of a wedge: (type id << kRoleBits) | role.
+std::uint64_t WedgeEnd(std::uint32_t type, WedgeRole role) {
+  return (std::uint64_t{type} << kRoleBits) | role;
+}
+
+std::uint32_t TypeOfEnd(std::uint64_t end) {
+  return static_cast<std::uint32_t>(end >> kRoleBits);
+}
+
+/// Integer name of a wedge's isomorphism class: its two ends, in
+/// ascending order. The ends fix the shared vertex's label and both edges
+/// up to the swap the ordering removes, so two wedges get equal keys iff
+/// they are isomorphic. This makes the wedge index the exact support set
+/// of every 2-edge pattern (DESIGN.md §12).
+struct WedgeKey {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+
+  auto operator<=>(const WedgeKey&) const = default;
+};
+
+WedgeKey MakeWedgeKey(std::uint64_t a, std::uint64_t b) {
+  return a < b ? WedgeKey{a, b} : WedgeKey{b, a};
+}
+
+struct WedgeKeyHash {
+  std::size_t operator()(const WedgeKey& k) const {
+    return static_cast<std::size_t>((k.lo * 0x9E3779B97F4A7C15ULL) ^ k.hi);
   }
-  std::array<std::array<std::uint32_t, 3>, 2> desc;
-  std::size_t n = 0;
-  const VertexId ends[2] = {a.src, a.dst};
-  for (int i = 0; i < (a.src == a.dst ? 1 : 2); ++i) {
-    const VertexId v = ends[i];
-    if (b.src == v || b.dst == v) {
-      desc[n++] = {static_cast<std::uint32_t>(g.vertex_label(v)),
-                   RoleOf(a, v), RoleOf(b, v)};
+};
+
+template <typename V>
+using WedgeMap = std::unordered_map<WedgeKey, V, WedgeKeyHash>;
+
+/// Wedge key of the edges e1, e2 of pattern `g`, which must share a
+/// vertex. Edge types no transaction showed are interned here, so
+/// isomorphic candidates still get one key.
+WedgeKey PatternWedgeKey(const LabeledGraph& g, EdgeId e1, EdgeId e2,
+                         TypeIds& ids) {
+  const Edge& a = g.edge(e1);
+  const Edge& b = g.edge(e2);
+  const auto type_of = [&](const Edge& e) {
+    const graph::GraphView::EdgeTypeKey key{
+        g.vertex_label(e.src), g.vertex_label(e.dst), e.label, e.src == e.dst};
+    return InternType(ids, key);
+  };
+  const std::uint32_t ta = type_of(a);
+  const std::uint32_t tb = type_of(b);
+  if (a.src != a.dst && b.src != b.dst &&
+      std::minmax(a.src, a.dst) == std::minmax(b.src, b.dst)) {
+    const WedgeRole role = a.src == b.src ? kRoleParallel : kRoleAntiparallel;
+    return MakeWedgeKey(WedgeEnd(ta, role), WedgeEnd(tb, role));
+  }
+  const VertexId v = a.src == b.src || a.src == b.dst ? a.src : a.dst;
+  return MakeWedgeKey(WedgeEnd(ta, RoleOf(a, v)), WedgeEnd(tb, RoleOf(b, v)));
+}
+
+/// Appends to `keys` the key of every wedge of transaction `t`, repeats
+/// included; `type_of` maps each live edge to its type id. Rather than
+/// visit every pair of incident edges, it groups each vertex's arcs into
+/// classes of equal (type, role) and emits one key per class pair, so a
+/// hub with hundreds of parallel edges costs its class count squared.
+void AppendWedgeKeys(const graph::GraphView& t,
+                     const std::vector<std::uint32_t>& type_of,
+                     std::vector<WedgeKey>* keys) {
+  // One arc class: a run of equal ends in `arcs` (or, per neighbour, in
+  // `links`). `only` is the neighbour every edge of the class goes to;
+  // kInvalidVertex when there are several, or for self-loops (two of
+  // which share only their vertex).
+  struct Class {
+    std::uint64_t end;
+    std::size_t count;
+    VertexId only;
+  };
+  std::vector<Class> classes;
+  // (end, neighbour) of every arc at the vertex, a self-loop once; and
+  // (neighbour, end) of the arcs to higher-numbered neighbours.
+  std::vector<std::pair<std::uint64_t, VertexId>> arcs;
+  std::vector<std::pair<VertexId, std::uint64_t>> links;
+  for (VertexId v = 0; v < t.num_vertices(); ++v) {
+    arcs.clear();
+    links.clear();
+    for (const graph::GraphView::Arc& a : t.OutArcs(v)) {
+      const std::uint32_t type = type_of[a.edge];
+      arcs.emplace_back(WedgeEnd(type, a.other == v ? kRoleLoop : kRoleSrc),
+                        a.other);
+      if (a.other > v) links.emplace_back(a.other, WedgeEnd(type, kRoleSrc));
+    }
+    for (const graph::GraphView::Arc& a : t.InArcs(v)) {
+      if (a.other == v) continue;  // the self-loop came up as an out-arc
+      const std::uint32_t type = type_of[a.edge];
+      arcs.emplace_back(WedgeEnd(type, kRoleDst), a.other);
+      if (a.other > v) links.emplace_back(a.other, WedgeEnd(type, kRoleDst));
+    }
+    // Edges sharing only v. Two edges of one class do unless every edge
+    // of the class goes to the same neighbour; edges of two classes do
+    // unless all of them go to the same neighbour (those pairs share both
+    // endpoints and are handled below).
+    std::sort(arcs.begin(), arcs.end());
+    classes.clear();
+    for (std::size_t i = 0; i < arcs.size();) {
+      std::size_t j = i + 1;
+      while (j < arcs.size() && arcs[j].first == arcs[i].first) ++j;
+      VertexId only = arcs[i].second;
+      if (only == v || only != arcs[j - 1].second) only = graph::kInvalidVertex;
+      classes.push_back({arcs[i].first, j - i, only});
+      i = j;
+    }
+    for (std::size_t x = 0; x < classes.size(); ++x) {
+      const Class& cx = classes[x];
+      if (cx.count >= 2 && cx.only == graph::kInvalidVertex) {
+        keys->push_back(MakeWedgeKey(cx.end, cx.end));
+      }
+      for (std::size_t y = x + 1; y < classes.size(); ++y) {
+        const Class& cy = classes[y];
+        if (cx.only == graph::kInvalidVertex || cx.only != cy.only) {
+          keys->push_back(MakeWedgeKey(cx.end, cy.end));
+        }
+      }
+    }
+    // Edges sharing both endpoints, visited from the lower one: per
+    // neighbour, one key per pair of classes of the edges between them.
+    std::sort(links.begin(), links.end());
+    for (std::size_t i = 0; i < links.size();) {
+      std::size_t j = i + 1;
+      while (j < links.size() && links[j].first == links[i].first) ++j;
+      classes.clear();
+      for (std::size_t k = i; k < j; ++k) {
+        if (k > i && links[k].second == links[k - 1].second) {
+          ++classes.back().count;
+        } else {
+          classes.push_back({links[k].second, 1, links[k].first});
+        }
+      }
+      for (std::size_t x = 0; x < classes.size(); ++x) {
+        for (std::size_t y = x; y < classes.size(); ++y) {
+          if (x == y && classes[x].count < 2) continue;
+          const std::uint64_t ex = classes[x].end;
+          const std::uint64_t ey = classes[y].end;
+          const bool same_way = (ex & kRoleMask) == (ey & kRoleMask);
+          const WedgeRole role = same_way ? kRoleParallel : kRoleAntiparallel;
+          keys->push_back(MakeWedgeKey(WedgeEnd(TypeOfEnd(ex), role),
+                                       WedgeEnd(TypeOfEnd(ey), role)));
+        }
+      }
+      i = j;
     }
   }
-  if (n == 2 && desc[1] < desc[0]) std::swap(desc[0], desc[1]);
-  AppendU32(out, static_cast<std::uint32_t>(n));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const std::uint32_t x : desc[i]) AppendU32(out, x);
-  }
-}
-
-/// Canonical signature of the connected 2-edge subgraph {e1, e2} (the
-/// edges must share at least one vertex): two such subgraphs get equal
-/// signatures iff they are isomorphic. The two edge orderings are
-/// serialized into the caller's buffers and the lexicographic minimum is
-/// returned (covers the swap ambiguity when both edges have the same
-/// type). This is what makes exact level-2 support counting from the
-/// per-transaction wedge index possible — see DESIGN.md §12.
-template <typename G>
-const std::string& WedgeSignature(const G& g, EdgeId e1, EdgeId e2,
-                                  std::string* buf_a, std::string* buf_b) {
-  AppendWedgeOrdering(g, e1, e2, buf_a);
-  AppendWedgeOrdering(g, e2, e1, buf_b);
-  return *buf_a < *buf_b ? *buf_a : *buf_b;
 }
 
 /// Exact isomorphism test for the tiny dense pattern graphs extension
@@ -221,160 +348,162 @@ FsgResult MineFsg(graph::TransactionSource& source,
   // single-pass build — at any shard cut. A budget stop here returns an
   // empty (but honest) result: partially counted level-1 supports would
   // under-report and cannot be emitted as frequent.
-  std::map<std::pair<EdgeType, bool>, TidSet> edge_sets;
-  // Transactions with at least k (2 <= k <= kMaxTypeMult) edges of a
-  // type: a candidate using a type m > 1 times can only live where the
-  // type occurs >= m times, and these sets are far smaller than the
-  // plain presence sets. Capped at kMaxTypeMult (higher multiplicities
-  // fall back to the >= kMaxTypeMult set — weaker but still exact).
-  constexpr std::uint32_t kMaxTypeMult = 4;
-  std::map<std::tuple<EdgeType, bool, std::uint32_t>, TidSet> mult_sets;
-  // Wedge index: for every adjacent edge pair of every transaction, the
-  // pair's canonical signature is recorded once per transaction. Because
-  // the signature identifies a connected 2-edge pattern up to
-  // isomorphism, a signature's TID list is the exact support set of that
-  // pattern — level 2 is counted from this index with no VF2 at all.
-  std::map<std::string, TidSet> wedge_sets;
-  // Shard-local scratch, cleared per shard.
-  std::map<std::pair<EdgeType, bool>, std::vector<std::uint32_t>> local_edge;
-  std::map<std::tuple<EdgeType, bool, std::uint32_t>,
-           std::vector<std::uint32_t>>
-      local_mult;
-  std::map<std::string, std::vector<std::uint32_t>> local_wedge;
-  std::vector<std::vector<EdgeId>> incident;
-  std::unordered_set<std::string> txn_sigs;
-  std::string sig_a;
-  std::string sig_b;
-  common::MiningOutcome level1_stop = common::MiningOutcome::kComplete;
-  try {
-    for (std::size_t s = 0; s < source.num_shards(); ++s) {
-      const graph::ShardRef shard = source.Pin(s);
-      const auto shard_size = static_cast<std::uint32_t>(shard.views.size());
-      local_edge.clear();
-      local_mult.clear();
-      local_wedge.clear();
-      for (std::uint32_t i = 0; i < shard_size; ++i) {
-        const graph::GraphView& t = shard.views[i];
-        level1_stop = meter.Charge(1 + t.num_edges());
-        if (level1_stop != common::MiningOutcome::kComplete) break;
-        // The view's edge-type index is exactly the distinct live edge
-        // types of the transaction in sorted-key order, and each type's
-        // edge list length is its multiplicity — the per-transaction
-        // std::map the in-RAM build used produced the same sequence.
-        for (std::size_t type = 0; type < t.NumEdgeTypes(); ++type) {
-          const graph::GraphView::EdgeTypeKey& key = t.EdgeTypeAt(type);
-          const EdgeType et{key.src_label, key.dst_label, key.edge_label};
-          local_edge[{et, key.self_loop}].push_back(i);
-          const auto count =
-              static_cast<std::uint32_t>(t.EdgesOfType(type).size());
-          for (std::uint32_t k = 2; k <= std::min(count, kMaxTypeMult); ++k) {
-            local_mult[{et, key.self_loop, k}].push_back(i);
-          }
-        }
-        if (incident.size() < t.num_vertices()) {
-          incident.resize(t.num_vertices());
-        }
-        for (VertexId v = 0; v < t.num_vertices(); ++v) incident[v].clear();
-        for (EdgeId e = 0; e < t.edge_capacity(); ++e) {
-          if (!t.edge_alive(e)) continue;
-          const Edge& edge = t.edge(e);
-          incident[edge.src].push_back(e);
-          if (edge.dst != edge.src) incident[edge.dst].push_back(e);
-        }
-        // Every adjacent pair is visited at each shared vertex; pairs
-        // sharing two vertices come up twice and the per-transaction
-        // signature set collapses the duplicates (presence is all the
-        // index stores).
-        txn_sigs.clear();
-        for (VertexId v = 0; v < t.num_vertices(); ++v) {
-          const std::vector<EdgeId>& at_v = incident[v];
-          for (std::size_t a = 0; a + 1 < at_v.size(); ++a) {
-            for (std::size_t b = a + 1; b < at_v.size(); ++b) {
-              const std::string& sig =
-                  WedgeSignature(t, at_v[a], at_v[b], &sig_a, &sig_b);
-              if (txn_sigs.insert(sig).second) {
-                local_wedge[sig].push_back(i);
-              }
-            }
-          }
-        }
-      }
-      if (level1_stop != common::MiningOutcome::kComplete) break;
-      // Merge this shard's lists into the global sets at the shard base.
-      for (auto& [key, tids] : local_edge) {
-        edge_sets[key].SpliceUnion(
-            TidSet::FromSorted(std::move(tids), shard_size), shard.base);
-      }
-      for (auto& [key, tids] : local_mult) {
-        mult_sets[key].SpliceUnion(
-            TidSet::FromSorted(std::move(tids), shard_size), shard.base);
-      }
-      for (auto& [sig, tids] : local_wedge) {
-        wedge_sets[sig].SpliceUnion(
-            TidSet::FromSorted(std::move(tids), shard_size), shard.base);
-      }
-    }
-  } catch (const std::bad_alloc&) {
-    // A shard pin that could not fit the memory ceiling even after
-    // evicting everything else. Level 1 is incomplete, so nothing can be
-    // emitted honestly.
-    level1_stop = common::MiningOutcome::kMemoryBudgetExceeded;
-    result.aborted_out_of_memory = true;
-  }
-  if (level1_stop != common::MiningOutcome::kComplete) {
-    result.outcome = level1_stop;
-    result.work_ticks = meter.ticks_spent();
-    common::RecordOutcome("fsg", result.outcome);
-    return result;
-  }
+  //
   // The level-1 index lives for the whole mine: every observed edge
   // type's TID set (frequent or not) is retained so candidate generation
   // can intersect a join parent's set with the added edge type's set — a
   // necessary containment condition that shrinks the feasible set before
-  // any VF2 call (DESIGN.md §12). Rebuilding each accumulated set through
-  // FromSorted pins its universe to the full transaction count and its
-  // heap footprint to a deterministic function of its contents, shard cut
-  // notwithstanding.
+  // any VF2 call (DESIGN.md §12).
   std::map<std::pair<EdgeType, bool>, std::shared_ptr<const TidSet>>
       type_tids;
-  for (auto& [key, set] : edge_sets) {
-    type_tids.emplace(key, std::make_shared<const TidSet>(TidSet::FromSorted(
-                               set.ToVector(), universe)));
-  }
-  edge_sets.clear();
   std::map<std::tuple<EdgeType, bool, std::uint32_t>,
            std::shared_ptr<const TidSet>>
       mult_tids;
-  for (auto& [key, set] : mult_sets) {
-    mult_tids.emplace(key, std::make_shared<const TidSet>(TidSet::FromSorted(
-                               set.ToVector(), universe)));
-  }
-  mult_sets.clear();
-  std::map<std::string, std::shared_ptr<const TidSet>> wedge_tids;
-  for (auto& [sig, set] : wedge_sets) {
-    wedge_tids.emplace(sig, std::make_shared<const TidSet>(TidSet::FromSorted(
-                                set.ToVector(), universe)));
-  }
-  wedge_sets.clear();
-  const auto empty_tids = std::make_shared<const TidSet>();
-  result.candidates_per_level.push_back(type_tids.size());
-
+  TypeIds type_ids;
+  WedgeMap<std::shared_ptr<const TidSet>> wedge_tids;
   std::vector<FrequentPattern> frontier;
   std::vector<EdgeType> frequent_edges;  // for extension generation
-  std::set<EdgeType> frequent_edge_set;
-  for (const auto& [key, set] : type_tids) {
-    if (set->Cardinality() < options.min_support) continue;
-    const auto& [type, self_loop] = key;
-    FrequentPattern p;
-    p.graph = OneEdgePattern(type, self_loop);
-    p.tids = *set;
-    p.support = p.tids.Cardinality();
-    p.code = iso::CanonicalCodeCached(p.graph);
-    frontier.push_back(std::move(p));
-    if (frequent_edge_set.insert(type).second) {
-      frequent_edges.push_back(type);
+  {
+    TNMINE_TRACE_SPAN("fsg/level1");
+    std::map<std::pair<EdgeType, bool>, TidSet> edge_sets;
+    // Transactions with at least k (2 <= k <= kMaxTypeMult) edges of a
+    // type: a candidate using a type m > 1 times can only live where the
+    // type occurs >= m times, and these sets are far smaller than the
+    // plain presence sets.
+    std::map<std::tuple<EdgeType, bool, std::uint32_t>, TidSet> mult_sets;
+    // Wedge index: every wedge (connected 2-edge subgraph) of every
+    // transaction has its key recorded once per transaction. Because the
+    // key names the wedge's isomorphism class, a key's TID list is the
+    // exact support set of that 2-edge pattern — level 2 is counted from
+    // this index with no VF2 at all.
+    WedgeMap<TidSet> wedge_sets;
+    // Shard-local scratch, cleared per shard.
+    std::map<std::pair<EdgeType, bool>, std::vector<std::uint32_t>> local_edge;
+    std::map<std::tuple<EdgeType, bool, std::uint32_t>,
+             std::vector<std::uint32_t>>
+        local_mult;
+    // (wedge key, shard-local tid), each pair once.
+    std::vector<std::pair<WedgeKey, std::uint32_t>> local_wedge;
+    // Per-transaction scratch: edge id -> type id, and the wedge keys.
+    std::vector<std::uint32_t> type_of;
+    std::vector<WedgeKey> txn_keys;
+    common::MiningOutcome level1_stop = common::MiningOutcome::kComplete;
+    try {
+      for (std::size_t s = 0; s < source.num_shards(); ++s) {
+        const graph::ShardRef shard = source.Pin(s);
+        const auto shard_size = static_cast<std::uint32_t>(shard.views.size());
+        local_edge.clear();
+        local_mult.clear();
+        local_wedge.clear();
+        for (std::uint32_t i = 0; i < shard_size; ++i) {
+          const graph::GraphView& t = shard.views[i];
+          level1_stop = meter.Charge(1 + t.num_edges());
+          if (level1_stop != common::MiningOutcome::kComplete) break;
+          if (type_of.size() < t.edge_capacity()) {
+            type_of.resize(t.edge_capacity());
+          }
+          // The view's edge-type index is exactly the distinct live edge
+          // types of the transaction in sorted-key order, and each type's
+          // edge list length is its multiplicity — the per-transaction
+          // std::map the in-RAM build used produced the same sequence.
+          for (std::size_t type = 0; type < t.NumEdgeTypes(); ++type) {
+            const graph::GraphView::EdgeTypeKey& key = t.EdgeTypeAt(type);
+            const EdgeType et{key.src_label, key.dst_label, key.edge_label};
+            local_edge[{et, key.self_loop}].push_back(i);
+            const std::span<const EdgeId> edges = t.EdgesOfType(type);
+            const auto count = static_cast<std::uint32_t>(edges.size());
+            for (std::uint32_t k = 2; k <= std::min(count, kMaxTypeMult);
+                 ++k) {
+              local_mult[{et, key.self_loop, k}].push_back(i);
+            }
+            const std::uint32_t id = InternType(type_ids, key);
+            for (const EdgeId e : edges) type_of[e] = id;
+          }
+          // Presence is all the index stores: each key once.
+          txn_keys.clear();
+          AppendWedgeKeys(t, type_of, &txn_keys);
+          std::sort(txn_keys.begin(), txn_keys.end());
+          txn_keys.erase(std::unique(txn_keys.begin(), txn_keys.end()),
+                         txn_keys.end());
+          for (const WedgeKey& key : txn_keys) local_wedge.emplace_back(key, i);
+        }
+        if (level1_stop != common::MiningOutcome::kComplete) break;
+        // Merge this shard's lists into the global sets at the shard base.
+        for (auto& [key, tids] : local_edge) {
+          edge_sets[key].SpliceUnion(
+              TidSet::FromSorted(std::move(tids), shard_size), shard.base);
+        }
+        for (auto& [key, tids] : local_mult) {
+          mult_sets[key].SpliceUnion(
+              TidSet::FromSorted(std::move(tids), shard_size), shard.base);
+        }
+        // Sorting groups the wedge pairs by key with ascending tids; the
+        // pair count bounds the keys this shard can add.
+        std::sort(local_wedge.begin(), local_wedge.end());
+        wedge_sets.reserve(wedge_sets.size() + local_wedge.size());
+        for (std::size_t a = 0; a < local_wedge.size();) {
+          const WedgeKey key = local_wedge[a].first;
+          std::vector<std::uint32_t> tids;
+          for (; a < local_wedge.size() && local_wedge[a].first == key; ++a) {
+            tids.push_back(local_wedge[a].second);
+          }
+          wedge_sets[key].SpliceUnion(
+              TidSet::FromSorted(std::move(tids), shard_size), shard.base);
+        }
+      }
+    } catch (const std::bad_alloc&) {
+      // A shard pin that could not fit the memory ceiling even after
+      // evicting everything else. Level 1 is incomplete, so nothing can be
+      // emitted honestly.
+      level1_stop = common::MiningOutcome::kMemoryBudgetExceeded;
+      result.aborted_out_of_memory = true;
+    }
+    if (level1_stop != common::MiningOutcome::kComplete) {
+      result.outcome = level1_stop;
+      result.work_ticks = meter.ticks_spent();
+      common::RecordOutcome("fsg", result.outcome);
+      return result;
+    }
+    // Rebuilding each accumulated set through FromSorted pins its
+    // universe to the full transaction count and its heap footprint to a
+    // deterministic function of its contents, shard cut notwithstanding.
+    const auto rebuilt = [&](const TidSet& set) {
+      TidSet flat = TidSet::FromSorted(set.ToVector(), universe);
+      return std::make_shared<const TidSet>(std::move(flat));
+    };
+    for (auto& [key, set] : edge_sets) type_tids.emplace(key, rebuilt(set));
+    for (auto& [key, set] : mult_sets) mult_tids.emplace(key, rebuilt(set));
+    std::set<EdgeType> frequent_edge_set;
+    for (const auto& [key, set] : type_tids) {
+      if (set->Cardinality() < options.min_support) continue;
+      const auto& [type, self_loop] = key;
+      FrequentPattern p;
+      p.graph = OneEdgePattern(type, self_loop);
+      p.tids = *set;
+      p.support = p.tids.Cardinality();
+      p.code = iso::CanonicalCodeCached(p.graph);
+      frontier.push_back(std::move(p));
+      if (frequent_edge_set.insert(type).second) {
+        frequent_edges.push_back(type);
+      }
+    }
+    // Level 2 extends a frequent edge by an edge of a type in
+    // frequent_edges, so it never looks up a wedge with an edge of any
+    // other (src, dst, edge label) triple: those wedges are dropped here.
+    std::vector<char> reachable(type_ids.size());
+    for (const auto& [key, id] : type_ids) {
+      const EdgeType triple{key.src_label, key.dst_label, key.edge_label};
+      reachable[id] = frequent_edge_set.contains(triple);
+    }
+    for (auto& [key, set] : wedge_sets) {
+      if (reachable[TypeOfEnd(key.lo)] && reachable[TypeOfEnd(key.hi)]) {
+        wedge_tids.emplace(key, rebuilt(set));
+      }
     }
   }
+  TNMINE_COUNTER_ADD("fsg/wedge_classes_indexed", wedge_tids.size());
+  const auto empty_tids = std::make_shared<const TidSet>();
+  result.candidates_per_level.push_back(type_tids.size());
   result.frequent_per_level.push_back(frontier.size());
   result.levels_completed = 1;
   TNMINE_COUNTER_ADD("fsg/candidates_generated", type_tids.size());
@@ -387,8 +516,8 @@ FsgResult MineFsg(graph::TransactionSource& source,
   for (const auto& [key, set] : mult_tids) {
     type_index_bytes += set->MemoryBytes();
   }
-  for (const auto& [sig, set] : wedge_tids) {
-    type_index_bytes += sig.size() + set->MemoryBytes();
+  for (const auto& [key, set] : wedge_tids) {
+    type_index_bytes += sizeof(key) + set->MemoryBytes();
   }
 
   // TID sets of all frequent patterns at the previous level, keyed by
@@ -399,21 +528,18 @@ FsgResult MineFsg(graph::TransactionSource& source,
   std::unordered_map<std::string, std::shared_ptr<const TidSet>>
       previous_level_tids;
   // When the previous level holds 2-edge patterns, the same sets keyed
-  // by wedge signature: 3-edge extensions then run their closure checks
+  // by wedge key: 3-edge extensions then run their closure checks
   // without building sub-graphs or canonical codes.
-  std::unordered_map<std::string, std::shared_ptr<const TidSet>>
-      previous_level_sigs;
+  WedgeMap<std::shared_ptr<const TidSet>> previous_level_wedges;
   auto rebuild_previous = [&](const std::vector<FrequentPattern>& fr) {
     previous_level_tids.clear();
-    previous_level_sigs.clear();
-    std::string buf_a;
-    std::string buf_b;
+    previous_level_wedges.clear();
     for (const FrequentPattern& p : fr) {
       auto set = std::make_shared<const TidSet>(p.tids);
       previous_level_tids.emplace(p.code, set);
       if (p.graph.num_edges() == 2) {
-        previous_level_sigs.emplace(
-            WedgeSignature(p.graph, EdgeId{0}, EdgeId{1}, &buf_a, &buf_b),
+        previous_level_wedges.emplace(
+            PatternWedgeKey(p.graph, EdgeId{0}, EdgeId{1}, type_ids),
             std::move(set));
       }
     }
@@ -457,9 +583,9 @@ FsgResult MineFsg(graph::TransactionSource& source,
     };
     std::unordered_map<std::string, Candidate> candidates;
     // Isomorphism classes of 2-edge extensions already seen this level,
-    // keyed by wedge signature; dedup happens here so duplicates never
-    // reach the canonical-code cache.
-    std::unordered_set<std::string> level2_seen;
+    // keyed by wedge key; dedup happens here so duplicates never reach the
+    // canonical-code cache.
+    std::unordered_set<WedgeKey, WedgeKeyHash> level2_seen;
     // Same idea for 3+ edge extensions: representatives of the classes
     // already considered, bucketed by invariant hash.
     std::unordered_map<std::uint64_t, std::vector<LabeledGraph>> ext_classes;
@@ -492,11 +618,9 @@ FsgResult MineFsg(graph::TransactionSource& source,
         std::shared_ptr<const TidSet> parent_shared;
         std::vector<std::shared_ptr<const TidSet>> sub_sets;
         std::map<std::pair<EdgeType, bool>, std::uint32_t> cand_type_counts;
-        std::string sig_a;
-        std::string sig_b;
-        std::string parent_sig;
+        WedgeKey parent_key;
         if (pg.num_edges() == 2) {
-          parent_sig = WedgeSignature(pg, EdgeId{0}, EdgeId{1}, &sig_a, &sig_b);
+          parent_key = PatternWedgeKey(pg, EdgeId{0}, EdgeId{1}, type_ids);
         }
         auto consider = [&](LabeledGraph&& extended, const EdgeType& t,
                             bool self_loop) {
@@ -521,17 +645,17 @@ FsgResult MineFsg(graph::TransactionSource& source,
           const std::size_t parent_card = parent.tids.Cardinality();
           if (extended.num_edges() == 2) {
             // Level 2 runs entirely off the level-1 indexes. The wedge
-            // signature names the candidate's isomorphism class, so it
-            // dedups isomorphic extensions before any canonical-code
-            // work (isomorphic extensions serialize differently, and
-            // each distinct serialization would pay a full canonical
-            // search); the retained edge's level-1 frequency is the
-            // whole downward-closure check; and the signature's TID set
-            // is the exact support set, inside the parent's by
-            // anti-monotonicity (DESIGN.md §12).
-            const std::string& sig = WedgeSignature(
-                extended, EdgeId{0}, EdgeId{1}, &sig_a, &sig_b);
-            if (!level2_seen.insert(sig).second) return;  // isomorphic dup
+            // key names the candidate's isomorphism class, so it dedups
+            // isomorphic extensions before any canonical-code work
+            // (isomorphic extensions serialize differently, and each
+            // distinct serialization would pay a full canonical search);
+            // the retained edge's level-1 frequency is the whole
+            // downward-closure check; and the key's TID set is the exact
+            // support set, inside the parent's by anti-monotonicity
+            // (DESIGN.md §12).
+            const WedgeKey key = PatternWedgeKey(
+                extended, EdgeId{0}, EdgeId{1}, type_ids);
+            if (!level2_seen.insert(key).second) return;  // isomorphic dup
             const Edge& kept = extended.edge(EdgeId{0});
             const auto kept_it = type_tids.find(
                 {EdgeType{extended.vertex_label(kept.src),
@@ -542,7 +666,7 @@ FsgResult MineFsg(graph::TransactionSource& source,
               ++pruned_closure;
               return;
             }
-            const auto wit = wedge_tids.find(sig);
+            const auto wit = wedge_tids.find(key);
             feasible = wit == wedge_tids.end() ? empty_tids : wit->second;
             feasible_exact = true;
             pruned_by_join += parent_card - feasible->Cardinality();
@@ -580,7 +704,7 @@ FsgResult MineFsg(graph::TransactionSource& source,
             const auto added = static_cast<EdgeId>(extended.num_edges() - 1);
             const std::vector<EdgeId> live = extended.LiveEdges();
             if (extended.num_edges() == 3) {
-              // 2-edge subs are checked by wedge signature: no sub-graph
+              // 2-edge subs are checked by wedge key: no sub-graph
               // copy, no canonical code, and connectivity of the
               // remaining pair is just "do they share a vertex".
               for (EdgeId drop : live) {
@@ -596,14 +720,14 @@ FsgResult MineFsg(graph::TransactionSource& source,
                     ex.dst != ey.src && ex.dst != ey.dst) {
                   continue;  // disconnected sub: not checkable
                 }
-                const std::string& sub_sig = WedgeSignature(
-                    extended, rest[0], rest[1], &sig_a, &sig_b);
-                const auto sub_it = previous_level_sigs.find(sub_sig);
-                if (sub_it == previous_level_sigs.end()) {
+                const WedgeKey sub_key = PatternWedgeKey(
+                    extended, rest[0], rest[1], type_ids);
+                const auto sub_it = previous_level_wedges.find(sub_key);
+                if (sub_it == previous_level_wedges.end()) {
                   prunable = true;
                   break;
                 }
-                if (sub_sig == parent_sig) continue;  // base set already
+                if (sub_key == parent_key) continue;  // base set already
                 if (std::find(sub_sets.begin(), sub_sets.end(),
                               sub_it->second) == sub_sets.end()) {
                   sub_sets.push_back(sub_it->second);

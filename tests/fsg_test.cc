@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <set>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/random.h"
 #include "graph/algorithms.h"
@@ -215,6 +218,94 @@ TEST(FsgTest, LevelDiagnosticsConsistent) {
   for (std::size_t i = 0; i < r.frequent_per_level.size(); ++i) {
     EXPECT_LE(r.frequent_per_level[i], r.candidates_per_level[i]);
   }
+}
+
+// Level-2 wedge edge cases. Every vertex carries label 0, as in the OD
+// partitions, so only the edges' labels and how they share endpoints tell
+// the 2-edge patterns apart.
+
+/// A graph on `n` vertices labelled 0 with (src, dst, label) edges.
+LabeledGraph Multigraph(
+    std::size_t n,
+    std::initializer_list<std::tuple<VertexId, VertexId, Label>> edges) {
+  LabeledGraph g;
+  for (std::size_t v = 0; v < n; ++v) g.AddVertex(0);
+  for (const auto& [src, dst, label] : edges) g.AddEdge(src, dst, label);
+  return g;
+}
+
+/// The TID set FSG reports for `pattern` (empty when not reported).
+std::vector<std::uint32_t> TidsOf(const FsgResult& r,
+                                  const LabeledGraph& pattern) {
+  const std::string code = iso::CanonicalCode(pattern);
+  for (const auto& p : r.patterns) {
+    if (p.code == code) return p.tids.ToVector();
+  }
+  return {};
+}
+
+FsgResult MineWedges(const std::vector<LabeledGraph>& txns) {
+  FsgOptions options;
+  options.min_support = 1;
+  options.max_edges = 2;
+  return MineFsg(txns, options);
+}
+
+using Tids = std::vector<std::uint32_t>;
+
+TEST(FsgTest, WedgeParallelEdgesAreNotAnOutStar) {
+  const std::vector<LabeledGraph> txns = {
+      Multigraph(2, {{0, 1, 5}, {0, 1, 5}}),  // parallel pair only
+      Multigraph(3, {{0, 1, 5}, {0, 2, 5}}),  // out-star
+  };
+  const FsgResult r = MineWedges(txns);
+  EXPECT_EQ(TidsOf(r, Multigraph(2, {{0, 1, 5}, {0, 1, 5}})), Tids{0});
+  EXPECT_EQ(TidsOf(r, Multigraph(3, {{0, 1, 5}, {0, 2, 5}})), Tids{1});
+}
+
+TEST(FsgTest, WedgeTwoCycleIsNotATwoPath) {
+  const std::vector<LabeledGraph> txns = {
+      Multigraph(2, {{0, 1, 5}, {1, 0, 5}}),  // u <-> v only
+      Multigraph(3, {{0, 1, 5}, {1, 2, 5}}),  // 2-path
+  };
+  const FsgResult r = MineWedges(txns);
+  EXPECT_EQ(TidsOf(r, Multigraph(2, {{0, 1, 5}, {1, 0, 5}})), Tids{0});
+  EXPECT_EQ(TidsOf(r, Multigraph(3, {{0, 1, 5}, {1, 2, 5}})), Tids{1});
+}
+
+TEST(FsgTest, WedgeTwoSelfLoopsShareTheirVertex) {
+  const std::vector<LabeledGraph> txns = {
+      Multigraph(1, {{0, 0, 5}, {0, 0, 5}}),             // same label
+      Multigraph(1, {{0, 0, 5}, {0, 0, 6}}),             // two labels
+      Multigraph(2, {{0, 0, 5}, {0, 1, 5}, {1, 1, 5}}),  // loops apart
+  };
+  const FsgResult r = MineWedges(txns);
+  EXPECT_EQ(TidsOf(r, Multigraph(1, {{0, 0, 5}, {0, 0, 5}})), Tids{0});
+  EXPECT_EQ(TidsOf(r, Multigraph(1, {{0, 0, 5}, {0, 0, 6}})), Tids{1});
+  EXPECT_EQ(TidsOf(r, Multigraph(2, {{0, 0, 5}, {0, 1, 5}})), Tids{2});
+}
+
+TEST(FsgTest, WedgeSelfLoopPlusOutEdge) {
+  const std::vector<LabeledGraph> txns = {
+      Multigraph(2, {{0, 0, 5}, {0, 1, 5}}),
+      Multigraph(2, {{0, 0, 5}, {0, 1, 5}, {0, 1, 5}}),
+      Multigraph(3, {{0, 1, 5}, {0, 2, 5}}),
+  };
+  const FsgResult r = MineWedges(txns);
+  EXPECT_EQ(TidsOf(r, Multigraph(2, {{0, 0, 5}, {0, 1, 5}})), (Tids{0, 1}));
+  EXPECT_EQ(TidsOf(r, Multigraph(2, {{0, 1, 5}, {0, 1, 5}})), Tids{1});
+  EXPECT_EQ(TidsOf(r, Multigraph(3, {{0, 1, 5}, {0, 2, 5}})), Tids{2});
+}
+
+TEST(FsgTest, WedgeHubWithParallelEdgesToOneNeighbour) {
+  const std::vector<LabeledGraph> txns = {
+      // Three edges to one neighbour and one to another.
+      Multigraph(3, {{0, 1, 5}, {0, 1, 5}, {0, 1, 5}, {0, 2, 5}}),
+      Multigraph(2, {{0, 1, 5}, {0, 1, 5}, {0, 1, 5}}),
+  };
+  const FsgResult r = MineWedges(txns);
+  EXPECT_EQ(TidsOf(r, Multigraph(3, {{0, 1, 5}, {0, 2, 5}})), Tids{0});
+  EXPECT_EQ(TidsOf(r, Multigraph(2, {{0, 1, 5}, {0, 1, 5}})), (Tids{0, 1}));
 }
 
 TEST(FsgTest, SelfLoopPatterns) {
