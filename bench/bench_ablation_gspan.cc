@@ -66,10 +66,6 @@ void BM_GspanOdPartitions(benchmark::State& state) {
   gspan::GspanOptions options;
   options.min_support = static_cast<std::size_t>(state.range(0));
   options.max_edges = 3;
-  // Uniform vertex labels make full embedding lists explode on hub-heavy
-  // partitions; cap them (sound under-approximation, flagged in the
-  // result) — the price pattern-growth pays on this workload.
-  options.max_embeddings_per_transaction = 32;
   std::size_t patterns = 0;
   for (auto _ : state) {
     patterns = gspan::MineGspan(txns, options).patterns.size();

@@ -567,6 +567,9 @@ FsgResult MineFsg(graph::TransactionSource& source,
   while (!frontier.empty() &&
          (options.max_edges == 0 || level < options.max_edges)) {
     ++level;
+    // Opened first, so the teardown of the level's candidate map and
+    // dedup sets at the end of the body falls inside the span.
+    TNMINE_TRACE_SPAN("fsg/level");
     // Candidate generation.
     struct Candidate {
       FrequentPattern pattern;  // support/tids empty until counted
@@ -606,7 +609,6 @@ FsgResult MineFsg(graph::TransactionSource& source,
     std::uint64_t pruned_closure = 0;
     std::uint64_t pruned_by_join = 0;
 
-    TNMINE_TRACE_SPAN("fsg/level");
     try {
       TNMINE_TRACE_SPAN("fsg/generate");
       for (const FrequentPattern& parent : frontier) {

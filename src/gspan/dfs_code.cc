@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <tuple>
 
 #include "common/check.h"
 #include "graph/algorithms.h"
@@ -11,9 +12,45 @@ namespace tnmine::gspan {
 
 using graph::Edge;
 using graph::EdgeId;
-using graph::kInvalidVertex;
 using graph::LabeledGraph;
 using graph::VertexId;
+
+std::strong_ordering DfsEdge::operator<=>(const DfsEdge& other) const {
+  if (is_forward() != other.is_forward()) {
+    return is_forward() ? std::strong_ordering::greater
+                        : std::strong_ordering::less;
+  }
+  if (is_forward()) {
+    if (const auto c = other.from <=> from; c != 0) return c;
+    if (const auto c = to <=> other.to; c != 0) return c;
+  } else {
+    if (const auto c = to <=> other.to; c != 0) return c;
+    if (const auto c = from <=> other.from; c != 0) return c;
+  }
+  return std::tie(from_label, edge_label, forward_direction, to_label) <=>
+         std::tie(other.from_label, other.edge_label,
+                  other.forward_direction, other.to_label);
+}
+
+std::uint32_t DfsCode::NumVertices() const {
+  std::uint32_t n = 0;
+  for (const DfsEdge& e : edges_) n = std::max({n, e.from + 1, e.to + 1});
+  return n;
+}
+
+std::vector<std::uint32_t> DfsCode::RightmostPath() const {
+  std::uint32_t rightmost = 0;
+  std::map<std::uint32_t, std::uint32_t> parent;
+  for (const DfsEdge& e : edges_) {
+    if (e.is_forward()) {
+      parent[e.to] = e.from;
+      rightmost = std::max(rightmost, e.to);
+    }
+  }
+  std::vector<std::uint32_t> path = {rightmost};
+  while (path.back() != 0) path.push_back(parent.at(path.back()));
+  return path;
+}
 
 graph::LabeledGraph DfsCode::ToGraph() const {
   LabeledGraph g;
@@ -47,171 +84,142 @@ std::string DfsCode::ToString() const {
 
 namespace {
 
-/// One embedding of the current code prefix into the graph.
-struct State {
-  std::vector<VertexId> pos2v;   // DFS position -> graph vertex
-  std::vector<char> used_edge;   // by EdgeId
-  std::vector<std::uint32_t> v2pos;  // graph vertex -> position (or ~0)
+/// One traversal of `g` that spells the code built so far.
+struct Traversal {
+  std::vector<VertexId> images;  // DFS position -> graph vertex
+  std::vector<char> used;        // by EdgeId
 };
 
-/// Recursive minimal-code search: try extensions in ascending entry order;
-/// the first complete code reached depth-first is the lexicographic
-/// minimum (all complete codes have exactly |E| entries).
-class MinimalSearch {
- public:
-  explicit MinimalSearch(const LabeledGraph& g) : g_(g) {}
-
-  DfsCode Run() {
-    TNMINE_CHECK(g_.num_edges() > 0);
-    TNMINE_CHECK_MSG(g_.IsDense(), "graph must be dense");
-    TNMINE_CHECK_MSG(graph::IsWeaklyConnected(g_),
-                     "DFS codes require a connected graph");
-    // Initial entries: every edge in both role assignments.
-    std::map<DfsEdge, std::vector<State>> candidates;
-    g_.ForEachEdge([&](EdgeId eid) {
-      const Edge& edge = g_.edge(eid);
-      auto start = [&](VertexId first, VertexId second, bool forward) {
-        DfsEdge entry;
-        entry.from = 0;
-        entry.to = (first == second) ? 0 : 1;
-        entry.from_label = g_.vertex_label(first);
-        entry.to_label = g_.vertex_label(second);
-        entry.edge_label = edge.label;
-        entry.forward_direction = forward;
-        State state;
-        state.pos2v = {first};
-        if (first != second) state.pos2v.push_back(second);
-        state.used_edge.assign(g_.edge_capacity(), 0);
-        state.used_edge[eid] = 1;
-        state.v2pos.assign(g_.num_vertices(), ~std::uint32_t{0});
-        state.v2pos[first] = 0;
-        if (first != second) state.v2pos[second] = 1;
-        candidates[entry].push_back(std::move(state));
-      };
-      if (edge.src == edge.dst) {
-        start(edge.src, edge.src, true);
-      } else {
-        start(edge.src, edge.dst, true);
-        start(edge.dst, edge.src, false);
-      }
-    });
-    std::vector<DfsEdge> code;
-    const bool found = Extend(&code, candidates);
-    TNMINE_CHECK(found);
-    return DfsCode(std::move(code));
-  }
-
- private:
-  /// Rightmost path positions (rightmost vertex first) of the current
-  /// code.
-  static std::vector<std::uint32_t> RightmostPath(
-      const std::vector<DfsEdge>& code) {
-    std::uint32_t max_pos = 0;
-    std::map<std::uint32_t, std::uint32_t> parent;
-    for (const DfsEdge& e : code) {
-      if (e.to > e.from) {  // forward entry
-        parent[e.to] = e.from;
-        max_pos = std::max(max_pos, e.to);
-      }
-    }
-    std::vector<std::uint32_t> path = {max_pos};
-    while (path.back() != 0) path.push_back(parent.at(path.back()));
-    return path;
-  }
-
-  void Extensions(const std::vector<DfsEdge>& code, const State& state,
-                  std::map<DfsEdge, std::vector<State>>* candidates) const {
-    const std::vector<std::uint32_t> path = RightmostPath(code);
-    const std::uint32_t rightmost = path.front();
-    const std::uint32_t next_pos =
-        static_cast<std::uint32_t>(state.pos2v.size());
-    const VertexId rv = state.pos2v[rightmost];
-
-    auto add = [&](const DfsEdge& entry, EdgeId eid, VertexId new_vertex) {
-      State grown = state;
-      grown.used_edge[eid] = 1;
-      if (new_vertex != kInvalidVertex) {
-        grown.v2pos[new_vertex] = next_pos;
-        grown.pos2v.push_back(new_vertex);
-      }
-      (*candidates)[entry].push_back(std::move(grown));
-    };
-
-    // Backward edges and self-loops from the rightmost vertex.
-    auto backward = [&](EdgeId eid, bool outgoing) {
-      if (state.used_edge[eid]) return;
-      const Edge& edge = g_.edge(eid);
-      const VertexId other = outgoing ? edge.dst : edge.src;
-      if (other == rv && outgoing) {
-        DfsEdge entry{rightmost, rightmost, g_.vertex_label(rv), edge.label,
-                      true, g_.vertex_label(rv)};
-        add(entry, eid, kInvalidVertex);
-        return;
-      }
-      if (other == rv) return;  // self-loop handled on the outgoing side
-      const std::uint32_t opos = state.v2pos[other];
-      if (opos == ~std::uint32_t{0}) return;  // forward case, handled below
-      // Valid backward targets: vertices on the rightmost path.
-      if (std::find(path.begin(), path.end(), opos) == path.end()) return;
-      if (opos == rightmost) return;
-      DfsEdge entry{rightmost, opos, g_.vertex_label(rv), edge.label,
-                    outgoing, g_.vertex_label(other)};
-      add(entry, eid, kInvalidVertex);
-    };
-    g_.ForEachOutEdge(rv, [&](EdgeId eid) { backward(eid, true); });
-    g_.ForEachInEdge(rv, [&](EdgeId eid) {
-      if (g_.edge(eid).src != g_.edge(eid).dst) backward(eid, false);
-    });
-
-    // Forward edges from every rightmost-path vertex to unvisited
-    // vertices.
-    for (const std::uint32_t from_pos : path) {
-      const VertexId fv = state.pos2v[from_pos];
-      auto forward = [&](EdgeId eid, bool outgoing) {
-        if (state.used_edge[eid]) return;
-        const Edge& edge = g_.edge(eid);
-        const VertexId other = outgoing ? edge.dst : edge.src;
-        if (other == fv) return;
-        if (state.v2pos[other] != ~std::uint32_t{0}) return;  // visited
-        DfsEdge entry{from_pos, next_pos, g_.vertex_label(fv), edge.label,
-                      outgoing, g_.vertex_label(other)};
-        add(entry, eid, other);
-      };
-      g_.ForEachOutEdge(fv, [&](EdgeId eid) { forward(eid, true); });
-      g_.ForEachInEdge(fv, [&](EdgeId eid) { forward(eid, false); });
-    }
-  }
-
-  bool Extend(std::vector<DfsEdge>* code,
-              const std::map<DfsEdge, std::vector<State>>& candidates) {
-    if (candidates.empty()) return false;
-    for (const auto& [entry, states] : candidates) {
-      code->push_back(entry);
-      if (code->size() == g_.num_edges()) return true;
-      std::map<DfsEdge, std::vector<State>> next;
-      for (const State& state : states) {
-        Extensions(*code, state, &next);
-      }
-      if (Extend(code, next)) return true;
-      code->pop_back();
-    }
-    return false;
-  }
-
-  const LabeledGraph& g_;
+/// One rightmost-path extension a traversal offers.
+struct Offer {
+  DfsEdge entry;
+  std::size_t traversal;
+  EdgeId edge;
 };
+
+/// Appends every rightmost-path extension of `t`, which spells `code`.
+void OfferExtensions(const LabeledGraph& g, const DfsCode& code,
+                     const std::vector<std::uint32_t>& path,
+                     const Traversal& t, std::size_t index,
+                     std::vector<Offer>* offers) {
+  auto label = [&](VertexId v) { return g.vertex_label(v); };
+  if (code.empty()) {
+    g.ForEachEdge([&](EdgeId e) {
+      const Edge& edge = g.edge(e);
+      const std::uint32_t to = edge.src == edge.dst ? 0 : 1;
+      offers->push_back({{0, to, label(edge.src), edge.label, true,
+                          label(edge.dst)},
+                         index, e});
+      if (to == 1) {
+        offers->push_back({{0, 1, label(edge.dst), edge.label, false,
+                            label(edge.src)},
+                           index, e});
+      }
+    });
+    return;
+  }
+  auto position_of = [&](VertexId v) {
+    const auto it = std::find(t.images.begin(), t.images.end(), v);
+    return static_cast<std::uint32_t>(it - t.images.begin());
+  };
+  const auto next = static_cast<std::uint32_t>(t.images.size());
+  // Backward: closing edges and self-loops from the rightmost position to
+  // a rightmost-path position.
+  const std::uint32_t rightmost = path.front();
+  const VertexId rv = t.images[rightmost];
+  auto backward = [&](EdgeId e, VertexId other, bool outgoing) {
+    if (t.used[e]) return;
+    const std::uint32_t p = position_of(other);
+    if (std::find(path.begin(), path.end(), p) == path.end()) return;
+    offers->push_back({{rightmost, p, label(rv), g.edge(e).label, outgoing,
+                        label(other)},
+                       index, e});
+  };
+  g.ForEachOutEdge(rv, [&](EdgeId e) { backward(e, g.edge(e).dst, true); });
+  g.ForEachInEdge(rv, [&](EdgeId e) {
+    // Self-loops were offered once, as out-edges.
+    if (g.edge(e).src != rv) backward(e, g.edge(e).src, false);
+  });
+  // Forward: from any rightmost-path position to an undiscovered vertex.
+  for (const std::uint32_t p : path) {
+    const VertexId u = t.images[p];
+    auto forward = [&](EdgeId e, VertexId other, bool outgoing) {
+      if (position_of(other) != next) return;
+      offers->push_back({{p, next, label(u), g.edge(e).label, outgoing,
+                          label(other)},
+                         index, e});
+    };
+    g.ForEachOutEdge(u, [&](EdgeId e) { forward(e, g.edge(e).dst, true); });
+    g.ForEachInEdge(u, [&](EdgeId e) { forward(e, g.edge(e).src, false); });
+  }
+}
+
+/// gSpan's greedy construction of `g`'s minimal DFS code into `out`: each
+/// step takes the smallest extension any kept traversal offers and keeps
+/// exactly the traversals it extends. With `expected`, stops and returns
+/// false at the first entry where the minimum differs from it. Also
+/// returns false, with `out` short of |E| entries, if no traversal
+/// extends before every edge is placed.
+bool Greedy(const LabeledGraph& g, const DfsCode* expected, DfsCode* out) {
+  TNMINE_CHECK(g.num_edges() > 0);
+  TNMINE_CHECK_MSG(g.IsDense(), "graph must be dense");
+  TNMINE_CHECK_MSG(graph::IsWeaklyConnected(g),
+                   "DFS codes require a connected graph");
+  std::vector<Traversal> kept(1);
+  kept[0].used.assign(g.edge_capacity(), 0);
+  std::vector<Offer> offers;
+  while (out->size() < g.num_edges()) {
+    offers.clear();
+    const std::vector<std::uint32_t> path =
+        out->empty() ? std::vector<std::uint32_t>{} : out->RightmostPath();
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+      OfferExtensions(g, *out, path, kept[i], i, &offers);
+    }
+    if (offers.empty()) return false;
+    const DfsEdge best =
+        std::min_element(offers.begin(), offers.end(),
+                         [](const Offer& a, const Offer& b) {
+                           return a.entry < b.entry;
+                         })
+            ->entry;
+    if (expected != nullptr && expected->edges()[out->size()] != best) {
+      return false;
+    }
+    std::vector<Traversal> extended;
+    for (const Offer& offer : offers) {
+      if (offer.entry != best) continue;
+      Traversal t = kept[offer.traversal];
+      t.used[offer.edge] = 1;
+      // Positions the entry discovers: both ends of a first entry, `to` of
+      // a forward one.
+      const Edge& edge = g.edge(offer.edge);
+      const bool fwd = offer.entry.forward_direction;
+      if (t.images.size() == offer.entry.from) {
+        t.images.push_back(fwd ? edge.src : edge.dst);
+      }
+      if (t.images.size() == offer.entry.to) {
+        t.images.push_back(fwd ? edge.dst : edge.src);
+      }
+      extended.push_back(std::move(t));
+    }
+    kept = std::move(extended);
+    out->push_back(best);
+  }
+  return true;
+}
 
 }  // namespace
 
 DfsCode MinimalDfsCode(const LabeledGraph& g) {
-  MinimalSearch search(g);
-  return search.Run();
+  DfsCode code;
+  Greedy(g, nullptr, &code);
+  return code;
 }
 
 bool IsMinimalDfsCode(const DfsCode& code) {
   if (code.empty()) return true;
-  const LabeledGraph g = code.ToGraph();
-  return MinimalDfsCode(g) == code;
+  DfsCode built;
+  return Greedy(code.ToGraph(), &code, &built);
 }
 
 }  // namespace tnmine::gspan

@@ -11,13 +11,24 @@
 namespace tnmine::gspan {
 
 /// One entry of a DFS code (Yan & Han, ICDM 2002), extended for directed
-/// graphs: the edge between DFS-discovery positions `from` and `to`,
+/// multigraphs: the edge between DFS-discovery positions `from` and `to`,
 /// carrying the vertex labels at both ends, the edge label, and whether
 /// the underlying directed edge runs from -> to (`forward_direction`) or
 /// to -> from.
 ///
-/// A forward entry has to == max position so far + 1 (tree edge of the
-/// DFS); a backward entry has to < from (closing edge).
+/// A forward entry (to > from) discovers position `to`, a tree edge of
+/// the DFS. A backward entry (to <= from) closes an edge between known
+/// positions: a self-loop has to == from, and a parallel or antiparallel
+/// edge is a backward entry to a rightmost-path position.
+///
+/// Entries compare in gSpan's DFS lexicographic order, extended for
+/// direction: backward before forward; backward entries by `to`
+/// ascending; forward entries by `from` descending (the deepest
+/// rightmost-path vertex first); then from label, edge label, direction
+/// and to label. Two codes that agree up to some entry share their
+/// rightmost path, so this order decides between any two rightmost-path
+/// extensions of one prefix — and under it every prefix of a minimal
+/// code is itself minimal, the property gSpan's pruning rests on.
 struct DfsEdge {
   std::uint32_t from = 0;
   std::uint32_t to = 0;
@@ -26,7 +37,10 @@ struct DfsEdge {
   bool forward_direction = true;  ///< directed edge goes from -> to
   graph::Label to_label = 0;
 
-  auto operator<=>(const DfsEdge&) const = default;
+  bool is_forward() const { return to > from; }
+
+  bool operator==(const DfsEdge&) const = default;
+  std::strong_ordering operator<=>(const DfsEdge& other) const;
 };
 
 /// A DFS code: the edge sequence of one depth-first traversal of a
@@ -42,8 +56,19 @@ class DfsCode {
   std::size_t size() const { return edges_.size(); }
   bool empty() const { return edges_.empty(); }
 
+  void push_back(const DfsEdge& entry) { edges_.push_back(entry); }
+  void pop_back() { edges_.pop_back(); }
+
   /// Lexicographic comparison over the edge sequence.
   auto operator<=>(const DfsCode&) const = default;
+
+  /// Number of DFS positions the code discovers.
+  std::uint32_t NumVertices() const;
+
+  /// Positions on the rightmost path — the tree path from the root to
+  /// the last discovered position — rightmost position first. A
+  /// nonempty code's path always ends at the root, position 0.
+  std::vector<std::uint32_t> RightmostPath() const;
 
   /// Reconstructs the pattern graph this code describes. DFS positions
   /// become vertex ids.
@@ -57,12 +82,16 @@ class DfsCode {
 };
 
 /// Computes the minimal DFS code of a connected, dense labeled graph
-/// (direction-aware). Exponential worst case like any canonical form;
-/// intended for pattern-sized graphs.
+/// (direction-aware) by gSpan's greedy construction: starting from every
+/// orientation of every edge, keep only the traversals whose next
+/// rightmost-path extension is the smallest entry on offer. No
+/// backtracking is needed, because the smallest extension of a minimal
+/// prefix always continues to a complete minimal code.
 DfsCode MinimalDfsCode(const graph::LabeledGraph& g);
 
 /// True when `code` is its graph's minimal DFS code — the gSpan
-/// duplicate-pruning test.
+/// duplicate-pruning test. Runs the greedy construction on the code's
+/// graph and stops at the first entry where it finds a smaller one.
 bool IsMinimalDfsCode(const DfsCode& code);
 
 }  // namespace tnmine::gspan

@@ -1,11 +1,8 @@
 #include "gspan/gspan.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
-#include <set>
-#include <tuple>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/budget.h"
@@ -16,6 +13,7 @@
 #include "common/trace.h"
 #include "graph/graph_view.h"
 #include "graph/transaction_source.h"
+#include "gspan/dfs_code.h"
 #include "iso/canonical.h"
 
 namespace tnmine::gspan {
@@ -29,106 +27,94 @@ using pattern::FrequentPattern;
 
 namespace {
 
-/// One occurrence of the current pattern inside a transaction: the images
-/// of the pattern's vertices and the set of transaction edges in use.
-struct Emb {
+/// One embedding of a DFS code, stored as a link to the embedding of the
+/// code's prefix it extends: in transaction `tid`, the code's last entry
+/// maps onto `edge`, and `prev` indexes the parent projection (unused at
+/// the seed level). Walking the links back to the seed recovers the
+/// embedding's whole edge sequence, and from it every vertex image.
+struct Link {
   std::uint32_t tid;
-  std::vector<VertexId> vertices;  // pattern vertex -> transaction vertex
-  std::vector<EdgeId> edges;       // sorted; pattern edge i -> edges[i] NOT
-                                   // guaranteed — used as an occupancy set
+  EdgeId edge;
+  std::uint32_t prev;
 };
+static_assert(sizeof(Link) == 12);
 
-/// Extension descriptor: add one edge to the pattern. Either between two
-/// existing pattern vertices, or from/to a brand-new vertex.
-struct Extension {
-  VertexId from;            // pattern vertex (source of the new edge)
-  VertexId to;              // pattern vertex, or kNewVertex
-  bool new_is_source;       // when new vertex: new -> from instead
-  Label new_vertex_label;   // label of the new vertex (if any)
-  Label edge_label;
+/// A DFS code's projected database: every embedding, grouped by ascending
+/// tid.
+using Projection = std::vector<Link>;
 
-  static constexpr VertexId kNewVertex = ~VertexId{0};
-
-  auto operator<=>(const Extension&) const = default;
-};
-
-struct ExtensionHash {
-  std::size_t operator()(const Extension& e) const {
-    std::uint64_t h = 0xCBF29CE484222325ULL;
-    auto mix = [&h](std::uint64_t x) {
-      h ^= x;
-      h *= 0x100000001B3ULL;
-    };
-    mix(e.from);
-    mix(e.to);
-    mix(e.new_is_source ? 1 : 0);
-    mix(static_cast<std::uint32_t>(e.new_vertex_label));
-    mix(static_cast<std::uint32_t>(e.edge_label));
-    return static_cast<std::size_t>(h);
-  }
-};
-
-std::size_t SupportOf(const std::vector<Emb>& embs) {
+std::size_t SupportOf(const Projection& links) {
   std::size_t support = 0;
   std::uint32_t prev = ~std::uint32_t{0};
-  for (const Emb& e : embs) {  // embeddings are grouped by tid
-    if (e.tid != prev) {
+  for (const Link& link : links) {
+    if (link.tid != prev) {
       ++support;
-      prev = e.tid;
+      prev = link.tid;
     }
   }
   return support;
 }
 
-/// Mines one seed's growth subtree. Each instance owns its visited-code
-/// set, so instances for different seeds share nothing and can run on
-/// separate pool lanes; MineGspan merges their results.
+/// The smaller of the two first entries a 1-edge pattern of this type can
+/// start with. Every pattern whose minimal code starts with it lies in this
+/// seed's subtree, so the seed subtrees are disjoint.
+DfsEdge SeedEntry(const graph::GraphView::EdgeTypeKey& key) {
+  if (key.self_loop) {
+    return {0, 0, key.src_label, key.edge_label, true, key.src_label};
+  }
+  return std::min(
+      DfsEdge{0, 1, key.src_label, key.edge_label, true, key.dst_label},
+      DfsEdge{0, 1, key.dst_label, key.edge_label, false, key.src_label});
+}
+
+/// Mines one seed's growth subtree. Instances for different seeds share
+/// nothing and run on separate pool lanes; MineGspan concatenates their
+/// results.
 struct Miner {
-  /// Transactions read through a per-miner Reader: embeddings are
-  /// tid-grouped ascending, so a Grow scan pins each shard it touches
-  /// once. One Reader per miner — seed subtrees on separate lanes never
-  /// share one.
+  /// Transactions read through a per-miner Reader: projections are
+  /// tid-grouped ascending, so a scan pins each shard it touches once.
   graph::TransactionSource::Reader reader;
   std::uint32_t num_transactions;
   const GspanOptions& options;
   GspanResult result{};
-  std::unordered_set<std::string> visited_codes{};
   /// This seed subtree's deterministic tick ledger (its Slice of the
   /// run's allotment). The subtree is mined sequentially, so tick
   /// exhaustion cuts the DFS at the same pattern on every run.
   common::BudgetMeter meter{};
+  /// The DFS code being grown, and the projection of each of its prefixes
+  /// (levels[k] holds the embeddings of its first k + 1 entries).
+  DfsCode code{};
+  std::vector<Projection> levels{};
   // Subtree-local telemetry, flushed to the registry once per seed (keeps
   // the hot recursion free of atomics and the totals independent of lane
   // scheduling).
   std::uint64_t extensions_enumerated = 0;
   std::uint64_t embeddings_materialized = 0;
   std::uint64_t codes_generated = 0;
-  // Reused across Grow calls (a call finishes with it before recursing).
-  std::vector<std::pair<VertexId, VertexId>> reverse{};  // (tv, pv) sorted
+  // One embedding's edge image per code entry and vertex image per DFS
+  // position, rebuilt per link during a scan.
+  std::vector<EdgeId> edges{};
+  std::vector<VertexId> images{};
 
-  void Grow(const LabeledGraph& pg, const std::string& code,
-            std::vector<Emb> embs) {
+  void Emit(const Projection& links) {
     FrequentPattern fp;
-    fp.graph = pg;
-    fp.code = code;
-    {
-      std::vector<std::uint32_t> tids;
-      std::uint32_t prev = ~std::uint32_t{0};
-      for (const Emb& e : embs) {
-        if (e.tid != prev) {
-          tids.push_back(e.tid);
-          prev = e.tid;
-        }
-      }
-      fp.tids = pattern::TidSet::FromSorted(std::move(tids),
-                                            num_transactions);
+    fp.graph = code.ToGraph();
+    fp.code = iso::CanonicalCodeCached(fp.graph);
+    std::vector<std::uint32_t> tids;
+    for (const Link& link : links) {
+      if (tids.empty() || tids.back() != link.tid) tids.push_back(link.tid);
     }
+    fp.tids = pattern::TidSet::FromSorted(std::move(tids), num_transactions);
     fp.support = fp.tids.Cardinality();
-    result.patterns.push_back(fp);
-    result.max_level = std::max(result.max_level, pg.num_edges());
-    if (options.max_edges != 0 && pg.num_edges() >= options.max_edges) {
-      return;
-    }
+    result.patterns.push_back(std::move(fp));
+    result.max_level = std::max(result.max_level, code.size());
+  }
+
+  /// Records `code` (whose embeddings are `links`) and mines its subtree:
+  /// every frequent rightmost-path extension whose code is still minimal.
+  void Grow(Projection links) {
+    Emit(links);
+    if (options.max_edges != 0 && code.size() >= options.max_edges) return;
 
     // Budget gate: the pattern above is already recorded (so truncated
     // runs keep every pattern they paid for), but growing costs one tick
@@ -136,18 +122,32 @@ struct Miner {
     if (result.outcome != common::MiningOutcome::kComplete) return;
     (void)TNMINE_FAILPOINT("gspan/grow");
     const common::MiningOutcome tick =
-        meter.Charge(1 + static_cast<std::uint64_t>(embs.size()));
+        meter.Charge(1 + static_cast<std::uint64_t>(links.size()));
     if (tick != common::MiningOutcome::kComplete) {
       result.outcome = common::CombineOutcomes(result.outcome, tick);
       return;
     }
-    // Coarse estimate of this level's projected-database footprint,
-    // charged against the shared memory ceiling for the duration of the
-    // extension scan.
-    const std::uint64_t approx_bytes =
-        static_cast<std::uint64_t>(embs.size()) *
-        (sizeof(Emb) + 8 * (pg.num_vertices() + pg.num_edges()));
-    if (!options.budget.TryChargeMemory(approx_bytes)) {
+    levels.push_back(std::move(links));
+    struct PopLevel {
+      std::vector<Projection>* levels;
+      ~PopLevel() { levels->pop_back(); }
+    } pop{&levels};
+
+    std::map<DfsEdge, Projection> children;
+    if (!Extend(&children)) return;
+    // The frequent children's projections stay alive while this pattern's
+    // subtree is mined; charge them against the shared memory ceiling
+    // until then.
+    std::uint64_t bytes = 0;
+    for (auto it = children.begin(); it != children.end();) {
+      if (SupportOf(it->second) < options.min_support) {
+        it = children.erase(it);
+      } else {
+        bytes += it->second.capacity() * sizeof(Link);
+        ++it;
+      }
+    }
+    if (!options.budget.TryChargeMemory(bytes)) {
       result.outcome = common::CombineOutcomes(
           result.outcome, common::MiningOutcome::kMemoryBudgetExceeded);
       return;
@@ -156,168 +156,133 @@ struct Miner {
       const common::ResourceBudget* budget;
       std::uint64_t bytes;
       ~MemRelease() { budget->ReleaseMemory(bytes); }
-    } release{&options.budget, approx_bytes};
+    } release{&options.budget, bytes};
 
-    // Enumerate extensions across all embeddings, collecting the extended
-    // embeddings per descriptor. Hashed container + reserve: this map is
-    // rebuilt for every pattern visited; descriptors are sorted once at
-    // recursion time instead of on every insert.
-    std::unordered_map<Extension, std::vector<Emb>, ExtensionHash>
-        extensions;
-    extensions.reserve(embs.size() * 4);
-    std::size_t scanned = 0;
-    for (const Emb& emb : embs) {
-      // Low-support patterns can have embedding lists large enough that
-      // one scan runs for seconds; poll the shared stop conditions at a
+    // Children in DFS order, so output is each subtree's DFS preorder. A
+    // child subtree that ran out of budget stops its siblings too.
+    for (auto& [entry, child] : children) {
+      if (result.outcome != common::MiningOutcome::kComplete) break;
+      // Freed when this iteration ends, whether the child is grown or
+      // pruned.
+      Projection child_links = std::move(child);
+      code.push_back(entry);
+      ++codes_generated;
+      if (IsMinimalDfsCode(code)) Grow(std::move(child_links));
+      code.pop_back();
+    }
+  }
+
+  /// Scans the projection on top of `levels` for rightmost-path
+  /// extensions, appending one link per (embedding, edge) to the child
+  /// projection of the extension's entry. Returns false when a stop
+  /// condition cut the scan short.
+  bool Extend(std::map<DfsEdge, Projection>* children) {
+    TNMINE_TRACE_SPAN("gspan/extend");
+    const std::vector<std::uint32_t> path = code.RightmostPath();
+    const std::uint32_t rightmost = path.front();
+    const std::uint32_t next = code.NumVertices();
+    std::vector<char> on_path(next, 0);
+    for (const std::uint32_t p : path) on_path[p] = 1;
+    edges.resize(code.size());
+    images.resize(next);
+    // Adjacency is label-sorted, so each arc group (one direction,
+    // backward or forward from one path position) mostly yields one entry:
+    // a group remembers its last child to skip the map lookup.
+    struct Slot {
+      DfsEdge entry;
+      Projection* child = nullptr;
+    };
+    std::vector<Slot> slots(2 + 2 * path.size());
+    const Projection& links = levels.back();
+    for (std::uint32_t i = 0; i < links.size(); ++i) {
+      // Low-support patterns can have projections large enough that one
+      // scan runs for seconds; poll the shared stop conditions at a
       // stride so cancellation (client disconnect, SIGINT, deadline) is
-      // observed mid-scan instead of only between Grow calls. Poll spends
-      // no ticks, so tick-budget determinism is unaffected.
-      if ((scanned++ & 255) == 255) {
+      // observed mid-scan. Poll spends no ticks, so tick-budget
+      // determinism is unaffected.
+      if ((i & 255) == 255) {
         const common::MiningOutcome stop = meter.Poll();
         if (stop != common::MiningOutcome::kComplete) {
           result.outcome = common::CombineOutcomes(result.outcome, stop);
+          return false;
+        }
+      }
+      const std::uint32_t tid = links[i].tid;
+      const graph::GraphView& t = reader.View(tid);
+      Rebuild(t, i);
+      auto position_of = [&](VertexId v) {
+        return static_cast<std::uint32_t>(
+            std::find(images.begin(), images.end(), v) - images.begin());
+      };
+      auto add = [&](Slot& slot, const DfsEdge& entry, EdgeId e) {
+        if (slot.child == nullptr || entry != slot.entry) {
+          slot.child = &(*children)[entry];
+          slot.entry = entry;
+        }
+        slot.child->push_back({tid, e, i});
+        ++embeddings_materialized;
+      };
+      // Backward: closing edges and self-loops from the rightmost
+      // position to a rightmost-path position.
+      const VertexId rv = images[rightmost];
+      const Label rl = t.vertex_label(rv);
+      auto backward = [&](const graph::GraphView::Arc& arc, bool outgoing) {
+        const std::uint32_t p = position_of(arc.other);
+        if (p == next || !on_path[p]) return;
+        if (std::find(edges.begin(), edges.end(), arc.edge) != edges.end()) {
           return;
         }
-      }
-      const graph::GraphView& t = reader.View(emb.tid);
-      // Occupancy for O(log n) membership tests.
-      auto edge_used = [&](EdgeId e) {
-        return std::binary_search(emb.edges.begin(), emb.edges.end(), e);
+        add(slots[outgoing ? 0 : 1],
+            {rightmost, p, rl, arc.label, outgoing,
+             t.vertex_label(arc.other)},
+            arc.edge);
       };
-      // Map transaction vertex -> pattern vertex (or invalid) via a
-      // reverse map built once per embedding — the former per-edge linear
-      // scan made deep patterns quadratic in pattern size.
-      reverse.clear();
-      reverse.reserve(emb.vertices.size());
-      for (VertexId p = 0; p < emb.vertices.size(); ++p) {
-        reverse.emplace_back(emb.vertices[p], p);
+      for (const auto& arc : t.OutArcs(rv)) backward(arc, true);
+      for (const auto& arc : t.InArcs(rv)) {
+        if (arc.other != rv) backward(arc, false);  // loops taken as out
       }
-      std::sort(reverse.begin(), reverse.end());
-      auto pattern_vertex_of = [&](VertexId tv) -> VertexId {
-        auto it = std::lower_bound(
-            reverse.begin(), reverse.end(), tv,
-            [](const std::pair<VertexId, VertexId>& entry, VertexId key) {
-              return entry.first < key;
-            });
-        if (it != reverse.end() && it->first == tv) return it->second;
-        return graph::kInvalidVertex;
-      };
-      for (VertexId pu = 0; pu < emb.vertices.size(); ++pu) {
-        const VertexId tu = emb.vertices[pu];
-        auto consider = [&](EdgeId te, bool outgoing) {
-          if (edge_used(te)) return;
-          const Edge& tedge = t.edge(te);
-          const VertexId other = outgoing ? tedge.dst : tedge.src;
-          const VertexId pother = pattern_vertex_of(other);
-          Extension ext;
-          ext.edge_label = tedge.label;
-          if (pother != graph::kInvalidVertex) {
-            // Closing edge between existing pattern vertices (includes
-            // self-loops when other == tu).
-            if (!outgoing) return;  // counted once, from the source side
-            ext.from = pu;
-            ext.to = pattern_vertex_of(tedge.dst);
-            if (ext.to == graph::kInvalidVertex) return;
-            if (pattern_vertex_of(tedge.src) != pu) return;
-            ext.new_is_source = false;
-            ext.new_vertex_label = 0;
-          } else {
-            ext.from = pu;
-            ext.to = Extension::kNewVertex;
-            ext.new_is_source = !outgoing;
-            ext.new_vertex_label = t.vertex_label(other);
-          }
-          ++embeddings_materialized;
-          Emb extended = emb;
-          extended.edges.insert(
-              std::lower_bound(extended.edges.begin(), extended.edges.end(),
-                               te),
-              te);
-          if (pother == graph::kInvalidVertex) {
-            extended.vertices.push_back(other);
-          }
-          extensions[ext].push_back(std::move(extended));
+      // Forward: from any rightmost-path position to an unmapped vertex.
+      for (std::size_t j = 0; j < path.size(); ++j) {
+        const std::uint32_t p = path[j];
+        const VertexId u = images[p];
+        const Label ul = t.vertex_label(u);
+        auto forward = [&](const graph::GraphView::Arc& arc, bool outgoing) {
+          if (position_of(arc.other) != next) return;
+          add(slots[2 + 2 * j + (outgoing ? 0 : 1)],
+              {p, next, ul, arc.label, outgoing, t.vertex_label(arc.other)},
+              arc.edge);
         };
-        for (EdgeId te : t.OutEdgesById(tu)) consider(te, true);
-        for (EdgeId te : t.InEdgesById(tu)) {
-          if (t.edge(te).src != t.edge(te).dst) consider(te, false);
-        }
+        for (const auto& arc : t.OutArcs(u)) forward(arc, true);
+        for (const auto& arc : t.InArcs(u)) forward(arc, false);
       }
     }
+    extensions_enumerated += children->size();
+    return true;
+  }
 
-    // Recurse into frequent, unseen extensions, in sorted descriptor
-    // order (the order the former std::map iterated in) so the output
-    // sequence is unchanged.
-    extensions_enumerated += extensions.size();
-    std::vector<std::pair<Extension, std::vector<Emb>>> ordered;
-    ordered.reserve(extensions.size());
-    for (auto& [ext, raw_embs] : extensions) {
-      ordered.emplace_back(ext, std::move(raw_embs));
+  /// Fills `edges` and `images` for link `index` of the top projection.
+  /// A link that extends the same parent embedding as the link before it
+  /// only swaps in its own edge; any other walks its links back to the
+  /// seed.
+  void Rebuild(const graph::GraphView& t, std::uint32_t index) {
+    const Projection& top = levels.back();
+    std::size_t first = 0;  // first code entry whose images change
+    if (levels.size() > 1 && index > 0 &&
+        top[index].prev == top[index - 1].prev) {
+      edges.back() = top[index].edge;
+      first = edges.size() - 1;
+    } else {
+      for (std::size_t k = levels.size(); k-- > 0;) {
+        const Link& link = levels[k][index];
+        edges[k] = link.edge;
+        index = link.prev;
+      }
     }
-    std::sort(ordered.begin(), ordered.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (auto& [ext, raw_embs] : ordered) {
-      // A child subtree that ran out of budget stops its siblings too.
-      if (result.outcome != common::MiningOutcome::kComplete) break;
-      // Same prompt-cancellation poll as the extension scan above: the
-      // dedup sort below is heavy for fat extension lists.
-      const common::MiningOutcome stop = meter.Poll();
-      if (stop != common::MiningOutcome::kComplete) {
-        result.outcome = common::CombineOutcomes(result.outcome, stop);
-        break;
-      }
-      // Deduplicate identical embeddings (the same occurrence can be
-      // reached from several parent embeddings related by automorphism —
-      // keep distinct (tid, vertex map, edge set) triples only) and apply
-      // the per-transaction cap.
-      std::sort(raw_embs.begin(), raw_embs.end(),
-                [](const Emb& a, const Emb& b) {
-                  return std::tie(a.tid, a.vertices, a.edges) <
-                         std::tie(b.tid, b.vertices, b.edges);
-                });
-      raw_embs.erase(std::unique(raw_embs.begin(), raw_embs.end(),
-                                 [](const Emb& a, const Emb& b) {
-                                   return a.tid == b.tid &&
-                                          a.vertices == b.vertices &&
-                                          a.edges == b.edges;
-                                 }),
-                     raw_embs.end());
-      if (options.max_embeddings_per_transaction != 0) {
-        std::vector<Emb> capped;
-        std::size_t run = 0;
-        std::uint32_t prev = ~std::uint32_t{0};
-        for (Emb& e : raw_embs) {
-          if (e.tid != prev) {
-            prev = e.tid;
-            run = 0;
-          }
-          if (run < options.max_embeddings_per_transaction) {
-            capped.push_back(std::move(e));
-            ++run;
-          } else {
-            result.embeddings_truncated = true;
-          }
-        }
-        raw_embs = std::move(capped);
-      }
-      if (SupportOf(raw_embs) < options.min_support) continue;
-      // Build the extended pattern graph.
-      LabeledGraph ext_pg = pg;
-      if (ext.to == Extension::kNewVertex) {
-        const VertexId nv = ext_pg.AddVertex(ext.new_vertex_label);
-        if (ext.new_is_source) {
-          ext_pg.AddEdge(nv, ext.from, ext.edge_label);
-        } else {
-          ext_pg.AddEdge(ext.from, nv, ext.edge_label);
-        }
-      } else {
-        ext_pg.AddEdge(ext.from, ext.to, ext.edge_label);
-      }
-      ++codes_generated;
-      std::string ext_code = iso::CanonicalCodeCached(ext_pg);
-      if (!visited_codes.insert(ext_code).second) continue;
-      ++result.patterns_explored;
-      Grow(ext_pg, ext_code, std::move(raw_embs));
+    for (std::size_t k = first; k < edges.size(); ++k) {
+      const DfsEdge& entry = code.edges()[k];
+      const Edge& e = t.edge(edges[k]);
+      images[entry.from] = entry.forward_direction ? e.src : e.dst;
+      images[entry.to] = entry.forward_direction ? e.dst : e.src;
     }
   }
 };
@@ -351,20 +316,11 @@ GspanResult MineGspan(graph::TransactionSource& source,
   const auto num_transactions =
       static_cast<std::uint32_t>(source.num_transactions());
 
-  // Seed: single-edge patterns with their embeddings, in deterministic
-  // (label-tuple) order. Distinct tuples yield non-isomorphic 1-edge
-  // patterns, so seed codes are pairwise distinct.
-  struct Seed {
-    LabeledGraph pg;
-    std::string code;
-    std::vector<Emb> embs;
-  };
-  // EdgeTypeKey's ordering matches the label tuple this map used to be
-  // keyed on, and each view lists a type's edges in ascending EdgeId
-  // order, so seed order and per-seed embedding order are unchanged.
-  // The scan walks the source one shard at a time (ascending bases ==
+  // Seeds: one projection per minimal first entry, one link per edge, in
+  // DFS order. Each view lists a type's edges in ascending EdgeId order
+  // and the scan walks the source one shard at a time (ascending bases ==
   // ascending global tids), holding a single pin at a time.
-  std::map<graph::GraphView::EdgeTypeKey, Seed> seeds;
+  std::map<DfsEdge, Projection> seeds;
   try {
     for (std::size_t s = 0; s < source.num_shards(); ++s) {
       const graph::ShardRef shard = source.Pin(s);
@@ -372,28 +328,8 @@ GspanResult MineGspan(graph::TransactionSource& source,
         const std::uint32_t tid = shard.base + i;
         const graph::GraphView& t = shard.views[i];
         for (std::size_t type = 0; type < t.NumEdgeTypes(); ++type) {
-          const graph::GraphView::EdgeTypeKey& key = t.EdgeTypeAt(type);
-          auto it = seeds.find(key);
-          if (it == seeds.end()) {
-            Seed seed;
-            const VertexId a = seed.pg.AddVertex(key.src_label);
-            if (key.self_loop) {
-              seed.pg.AddEdge(a, a, key.edge_label);
-            } else {
-              const VertexId b = seed.pg.AddVertex(key.dst_label);
-              seed.pg.AddEdge(a, b, key.edge_label);
-            }
-            it = seeds.emplace(key, std::move(seed)).first;
-          }
-          for (EdgeId e : t.EdgesOfType(type)) {
-            const Edge& edge = t.edge(e);
-            Emb emb;
-            emb.tid = tid;
-            emb.vertices.push_back(edge.src);
-            if (!key.self_loop) emb.vertices.push_back(edge.dst);
-            emb.edges.push_back(e);
-            it->second.embs.push_back(std::move(emb));
-          }
+          Projection& links = seeds[SeedEntry(t.EdgeTypeAt(type))];
+          for (EdgeId e : t.EdgesOfType(type)) links.push_back({tid, e, 0});
         }
       }
     }
@@ -406,32 +342,29 @@ GspanResult MineGspan(graph::TransactionSource& source,
     common::RecordOutcome("gspan", aborted.outcome);
     return aborted;
   }
-  std::vector<Seed> frequent;
-  for (auto& [key, seed] : seeds) {
-    if (SupportOf(seed.embs) < options.min_support) continue;
-    seed.code = iso::CanonicalCodeCached(seed.pg);
-    frequent.push_back(std::move(seed));
+  std::vector<std::pair<DfsEdge, Projection>> frequent;
+  for (auto& [entry, links] : seeds) {
+    if (SupportOf(links) < options.min_support) continue;
+    frequent.emplace_back(entry, std::move(links));
   }
 
   TNMINE_COUNTER_ADD("gspan/seeds_expanded", frequent.size());
 
-  // Mine each seed's subtree independently (own lane, own visited set).
-  // Each subtree gets its deterministic Slice of the tick allotment, so
-  // tick-truncated output is identical at any thread count; a bad_alloc
-  // (real or injected) is absorbed at this boundary, downgrading the
-  // subtree to its partial result with an honest memory outcome.
+  // Mine each seed's subtree independently on its own lane. Each subtree
+  // gets its deterministic Slice of the tick allotment, so tick-truncated
+  // output is identical at any thread count; a bad_alloc (real or
+  // injected) is absorbed at this boundary, downgrading the subtree to
+  // its partial result with an honest memory outcome.
   std::vector<GspanResult> parts = common::ParallelMap<GspanResult>(
       options.parallelism, frequent.size(), [&](std::size_t i) {
         TNMINE_TRACE_SPAN("gspan/seed_subtree");
-        Seed& seed = frequent[i];
         Miner miner{graph::TransactionSource::Reader(source),
                     num_transactions, options};
         miner.meter =
             common::BudgetMeter(options.budget.Slice(i, frequent.size()));
-        miner.visited_codes.insert(seed.code);
-        ++miner.result.patterns_explored;
+        miner.code.push_back(frequent[i].first);
         try {
-          miner.Grow(seed.pg, seed.code, std::move(seed.embs));
+          miner.Grow(std::move(frequent[i].second));
         } catch (const std::bad_alloc&) {
           miner.result.outcome = common::CombineOutcomes(
               miner.result.outcome,
@@ -446,25 +379,15 @@ GspanResult MineGspan(graph::TransactionSource& source,
         return std::move(miner.result);
       });
 
-  // ...then merge in seed order with cross-subtree canonical-code dedup.
-  // The first (lowest-seed) occurrence of a pattern class is kept — the
-  // same occurrence the sequential global-visited-set miner recorded, so
-  // the merged output is byte-identical to the sequential run (see the
-  // header comment for the argument).
+  // Subtrees are disjoint, so the merge is concatenation in seed order.
   GspanResult merged;
-  std::unordered_set<std::string> claimed;
   for (GspanResult& part : parts) {
-    merged.embeddings_truncated |= part.embeddings_truncated;
     merged.outcome = common::CombineOutcomes(merged.outcome, part.outcome);
     merged.work_ticks += part.work_ticks;
-    for (FrequentPattern& p : part.patterns) {
-      if (!claimed.insert(p.code).second) continue;
-      merged.max_level = std::max(merged.max_level, p.graph.num_edges());
-      merged.patterns.push_back(std::move(p));
-    }
+    merged.max_level = std::max(merged.max_level, part.max_level);
+    std::move(part.patterns.begin(), part.patterns.end(),
+              std::back_inserter(merged.patterns));
   }
-  // Every visited class records exactly one pattern, so after dedup the
-  // distinct classes explored equal the patterns kept.
   merged.patterns_explored = merged.patterns.size();
   TNMINE_COUNTER_ADD("gspan/patterns_emitted", merged.patterns.size());
   common::RecordOutcome("gspan", merged.outcome);

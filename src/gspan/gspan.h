@@ -26,10 +26,6 @@ struct GspanOptions {
   std::size_t min_support = 2;
   /// Stop growing patterns past this many edges (0 = unlimited).
   std::size_t max_edges = 0;
-  /// Cap on stored embeddings per (pattern, transaction). 0 = unlimited.
-  /// When hit, results become a sound under-approximation (no false
-  /// positives; some deep extensions may be missed); the result is flagged.
-  std::size_t max_embeddings_per_transaction = 0;
   /// Lanes for mining the frequent 1-edge seed subtrees concurrently.
   /// Any value yields byte-identical results (see MineGspan).
   common::Parallelism parallelism;
@@ -46,8 +42,6 @@ struct GspanResult {
   std::size_t patterns_explored = 0;
   /// Largest pattern size (edges) reached.
   std::size_t max_level = 0;
-  /// True when the embedding cap truncated any embedding list.
-  bool embeddings_truncated = false;
   /// How the run ended. Anything but kComplete means `patterns` is the
   /// best partial result found before the budget/cancel cutoff: every
   /// pattern listed is genuinely frequent, but deeper extensions may be
@@ -58,39 +52,35 @@ struct GspanResult {
   std::uint64_t work_ticks = 0;
 };
 
-/// gSpan-style pattern-growth mining (Yan & Han, ICDM 2002 — the
-/// "modern" baseline the paper cites as [23]) over directed labeled
-/// multigraph transactions.
+/// gSpan pattern-growth mining (Yan & Han, ICDM 2002 — the "modern"
+/// baseline the paper cites as [23]) over directed labeled multigraph
+/// transactions.
 ///
-/// Like gSpan, the miner grows patterns one edge at a time depth-first and
-/// keeps, for each pattern, its projected database — the full list of
-/// embeddings per transaction — so support counting and extension
-/// enumeration never re-run subgraph isomorphism from scratch (the
-/// decisive difference from FSG's Apriori candidate generation). Where
-/// original gSpan avoids duplicate pattern visits via minimal DFS codes,
-/// this implementation reuses the library's canonical-form machinery: the
-/// first time a pattern class is reached its subtree is explored, and
-/// later arrivals are skipped. That substitution preserves completeness
-/// because extensions are enumerated from every pattern vertex (not just
-/// the rightmost path), and it keeps pattern identity consistent with the
-/// rest of tnmine.
+/// Patterns are DFS codes (dfs_code.h) grown one edge at a time, depth
+/// first, and only along the rightmost path. A child whose code is not
+/// its graph's minimal DFS code is pruned with its whole subtree, so
+/// every pattern class is visited exactly once: at its minimal code,
+/// whose prefixes are all minimal and all frequent. Each pattern keeps
+/// its projected database — every embedding per transaction, stored as a
+/// 12-byte link to the parent embedding it extends — so support counting
+/// and extension enumeration never re-run subgraph isomorphism (the
+/// decisive difference from FSG's Apriori candidate generation).
+/// Embeddings are exact, never capped: the memory ceiling in `budget` is
+/// the one bound on their bytes, and hitting it is reported as
+/// kMemoryBudgetExceeded.
 ///
 /// Produces exactly the connected frequent patterns FSG produces on the
-/// same input (a property the test suite cross-checks).
+/// same input, with the same supports and TID sets (a property the test
+/// suite and tools/scenario_fuzz cross-check). Each emitted pattern's
+/// graph is its minimal DFS code's graph (vertex ids are DFS positions)
+/// and its `code` is the library's canonical code of that graph.
 ///
-/// Parallel execution: each frequent 1-edge seed roots an independent
-/// growth subtree mined on its own pool lane with its own visited-code
-/// set; subtree results are merged in seed order with cross-subtree
-/// canonical-code dedup (first seed wins). Because a pattern's embedding
-/// list is the same whichever seed grows it, and every ancestor on a
-/// pattern's first-arrival path is one of its own subgraphs (so the
-/// sequential global visited set can never cut such a path earlier than
-/// the subtree-local set does), the merged output is byte-identical to
-/// the single-threaded run — same patterns, same order, same graphs,
-/// supports and tids. The one caveat: with a nonzero
-/// max_embeddings_per_transaction, `embeddings_truncated` may be set in
-/// runs where the old global-visited-set miner did not explore the
-/// truncating region; the pattern set itself is unaffected.
+/// Parallel execution: each frequent minimal first entry (one edge type
+/// in its smaller orientation) seeds a growth subtree mined on its own
+/// pool lane. A pattern's minimal code starts with exactly one such
+/// entry, so the subtrees are disjoint, and the result is their outputs
+/// concatenated in seed order, each in DFS preorder — byte-identical at
+/// any thread count.
 GspanResult MineGspan(const std::vector<graph::LabeledGraph>& transactions,
                       const GspanOptions& options);
 

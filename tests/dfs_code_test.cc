@@ -56,6 +56,36 @@ LabeledGraph RandomConnected(Rng& rng, std::size_t vertices,
   return g;
 }
 
+/// Random connected multigraph: a random tree, then extra edges that are
+/// self-loops, parallel or antiparallel copies of a tree edge, or fresh
+/// pairs.
+LabeledGraph RandomMultigraph(Rng& rng, std::size_t vertices,
+                              std::size_t extra_edges, int vlabels,
+                              int elabels) {
+  LabeledGraph g = RandomConnected(rng, vertices, 0, vlabels, elabels);
+  for (std::size_t i = 0; i < extra_edges; ++i) {
+    const auto label = static_cast<Label>(rng.NextBounded(elabels));
+    const auto v = static_cast<VertexId>(rng.NextBounded(vertices));
+    const graph::Edge base =
+        g.edge(static_cast<graph::EdgeId>(rng.NextBounded(vertices - 1)));
+    switch (rng.NextBounded(4)) {
+      case 0:
+        g.AddEdge(v, v, label);
+        break;
+      case 1:
+        g.AddEdge(base.src, base.dst, label);
+        break;
+      case 2:
+        g.AddEdge(base.dst, base.src, label);
+        break;
+      default:
+        g.AddEdge(v, static_cast<VertexId>(rng.NextBounded(vertices)),
+                  label);
+    }
+  }
+  return g;
+}
+
 TEST(DfsCodeTest, SingleEdge) {
   LabeledGraph g;
   const VertexId a = g.AddVertex(3);
@@ -115,6 +145,27 @@ TEST(DfsCodeTest, ToGraphRoundTripIsomorphic) {
     EXPECT_EQ(code.size(), g.num_edges());
     EXPECT_TRUE(iso::AreIsomorphic(code.ToGraph(), g))
         << g.DebugString() << code.ToString();
+  }
+}
+
+// gSpan prunes every child whose code is not minimal, so it finds a
+// pattern only if each prefix of the pattern's minimal code is minimal
+// too. The DFS order must guarantee that on multigraphs with self-loops,
+// parallel and antiparallel edges, and the greedy construction must
+// place every edge without backtracking.
+TEST(DfsCodeTest, EveryPrefixOfAMinimalCodeIsMinimal) {
+  Rng rng(2005);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const LabeledGraph g = RandomMultigraph(
+        rng, 2 + rng.NextBounded(4), rng.NextBounded(5), 2, 2);
+    const DfsCode code = MinimalDfsCode(g);
+    ASSERT_EQ(code.size(), g.num_edges()) << g.DebugString();
+    for (std::size_t k = 1; k <= code.size(); ++k) {
+      const DfsCode prefix(std::vector<DfsEdge>(
+          code.edges().begin(), code.edges().begin() + k));
+      ASSERT_TRUE(IsMinimalDfsCode(prefix))
+          << "prefix " << prefix.ToString() << " of " << code.ToString();
+    }
   }
 }
 

@@ -169,15 +169,32 @@ TEST_P(MinerEquivalenceTest, FsgAndGspanAgree) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MinerEquivalenceTest,
                          ::testing::Values(101, 102, 103, 104, 105, 106));
 
-TEST(GspanTest, EmbeddingCapFlagsTruncation) {
-  // A dense uniform blob creates many embeddings; a cap of 1 must flag.
+TEST(GspanTest, MemoryCeilingStopsGrowthWithExactPatterns) {
+  // A dense uniform blob: the seed's extensions hold far more projection
+  // bytes than the ceiling, so growth stops there and says so, and what
+  // was emitted is exact.
   const auto txns = RandomTransactions(19, 4, 6, 14, 1, 1);
   GspanOptions options;
   options.min_support = 2;
   options.max_edges = 3;
-  options.max_embeddings_per_transaction = 1;
-  const GspanResult r = MineGspan(txns, options);
-  EXPECT_TRUE(r.embeddings_truncated);
+  const GspanResult full = MineGspan(txns, options);
+  ASSERT_EQ(full.outcome, common::MiningOutcome::kComplete);
+
+  common::BudgetLimits limits;
+  limits.max_memory_bytes = 64;
+  options.budget = common::ResourceBudget(limits);
+  const GspanResult bounded = MineGspan(txns, options);
+  EXPECT_EQ(bounded.outcome, common::MiningOutcome::kMemoryBudgetExceeded);
+  EXPECT_FALSE(bounded.patterns.empty());
+  EXPECT_LT(bounded.patterns.size(), full.patterns.size());
+  std::map<std::string, const pattern::FrequentPattern*> by_code;
+  for (const auto& p : full.patterns) by_code[p.code] = &p;
+  for (const auto& p : bounded.patterns) {
+    const auto it = by_code.find(p.code);
+    ASSERT_NE(it, by_code.end()) << p.code;
+    EXPECT_EQ(p.support, it->second->support);
+    EXPECT_EQ(p.tids.ToVector(), it->second->tids.ToVector());
+  }
 }
 
 }  // namespace

@@ -18,9 +18,9 @@
 //   encoding         Forced-sparse and forced-bitmap TidSet encodings
 //                    yield byte-identical mined output (DESIGN.md §12).
 //   budget_prefix    A tick-budgeted FSG run is an exact prefix of the
-//                    unbudgeted pattern list; a tick-budgeted gSpan run is
-//                    a subset with identical support/tids (not a prefix —
-//                    see DESIGN.md §13 for why that divergence is benign).
+//                    unbudgeted pattern list; a tick-budgeted gSpan run
+//                    keeps a prefix of each seed subtree's patterns (the
+//                    subtrees have separate tick slices; DESIGN.md §13).
 //   support_monotone Raising min_support only removes patterns; survivors
 //                    keep their exact support and tid set.
 //   partition        Algorithm 1 with m repetitions covers every pattern
@@ -75,6 +75,7 @@
 #include "graph/labeled_graph.h"
 #include "graph/shard_store.h"
 #include "graph/transaction_source.h"
+#include "gspan/dfs_code.h"
 #include "gspan/gspan.h"
 #include "partition/multilevel.h"
 #include "pattern/pattern.h"
@@ -126,6 +127,18 @@ std::string Fingerprint(const std::vector<FrequentPattern>& patterns) {
     out += '\n';
   }
   return out;
+}
+
+/// gSpan output split by seed subtree (the first entry of each pattern's
+/// minimal DFS code), each subtree fingerprinted in emission order.
+std::map<tnmine::gspan::DfsEdge, std::string> SeedBlocks(
+    const std::vector<FrequentPattern>& patterns) {
+  std::map<tnmine::gspan::DfsEdge, std::string> blocks;
+  for (const FrequentPattern& p : patterns) {
+    blocks[tnmine::gspan::MinimalDfsCode(p.graph).edges().front()] +=
+        Fingerprint({p});
+  }
+  return blocks;
 }
 
 /// Disjoint union of the transactions (vertex ids offset per graph) — the
@@ -346,19 +359,17 @@ std::optional<std::string> OracleBudgetPrefix(
                config.budget_fraction));
     const tnmine::gspan::GspanResult gspan_cut =
         RunGspan(txns, config, 1, ResourceBudget(limits));
-    // gSpan's truncated output is a subset with identical metadata, not a
-    // prefix (per-seed tick slices shift dedup claims — DESIGN.md §13).
-    const PatternMap full = ToMap(gspan_full.patterns);
-    for (const FrequentPattern& p : gspan_cut.patterns) {
-      auto it = full.find(p.code);
-      if (it == full.end()) {
-        return "budget_prefix: tick-truncated gspan found pattern '" +
-               p.code + "' absent from the unbudgeted run";
-      }
-      if (it->second.first != p.support ||
-          it->second.second != p.tids.ToVector()) {
-        return "budget_prefix: tick-truncated gspan pattern '" + p.code +
-               "' carries different support/tids than the unbudgeted run";
+    // Seed subtrees are disjoint and each is mined depth-first on its own
+    // tick slice, so the truncated output keeps a prefix of every seed's
+    // unbudgeted patterns, with identical metadata (DESIGN.md §13).
+    const auto full_blocks = SeedBlocks(gspan_full.patterns);
+    for (const auto& [seed, cut] : SeedBlocks(gspan_cut.patterns)) {
+      const auto it = full_blocks.find(seed);
+      if (it == full_blocks.end() || cut.size() > it->second.size() ||
+          it->second.compare(0, cut.size(), cut) != 0) {
+        return "budget_prefix: tick-truncated gspan output for seed " +
+               tnmine::gspan::DfsCode({seed}).ToString() +
+               " is not a prefix of that seed's unbudgeted patterns";
       }
     }
     if (gspan_cut.outcome == MiningOutcome::kComplete &&
