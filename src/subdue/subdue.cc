@@ -1,8 +1,8 @@
 #include "subdue/subdue.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
-#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -26,31 +26,70 @@ using graph::VertexId;
 
 namespace {
 
-/// Unique key for an instance (vertex set + edge set).
-std::string InstanceKey(const Instance& inst) {
-  std::ostringstream key;
-  std::vector<VertexId> vs = inst.vertices;
-  std::sort(vs.begin(), vs.end());
-  for (VertexId v : vs) key << v << ',';
-  key << '|';
-  for (EdgeId e : inst.edges) key << e << ',';
-  return key.str();
+/// Position of `v` in `inst.vertices`, or inst.vertices.size() if absent.
+std::uint32_t PositionOf(const Instance& inst, VertexId v) {
+  return static_cast<std::uint32_t>(
+      std::find(inst.vertices.begin(), inst.vertices.end(), v) -
+      inst.vertices.begin());
 }
 
 /// Builds the local pattern graph of an instance. Vertex order follows
 /// inst.vertices.
 LabeledGraph PatternOf(const LabeledGraph& host, const Instance& inst) {
   LabeledGraph pattern;
-  std::unordered_map<VertexId, VertexId> local;
-  for (VertexId v : inst.vertices) {
-    local.emplace(v, pattern.AddVertex(host.vertex_label(v)));
-  }
+  for (VertexId v : inst.vertices) pattern.AddVertex(host.vertex_label(v));
   for (EdgeId e : inst.edges) {
     const Edge& edge = host.edge(e);
-    pattern.AddEdge(local.at(edge.src), local.at(edge.dst), edge.label);
+    pattern.AddEdge(PositionOf(inst, edge.src), PositionOf(inst, edge.dst),
+                    edge.label);
   }
   return pattern;
 }
+
+/// An instance's shape: its local graph with vertices numbered by instance
+/// position, laid out as the vertex count, the vertex labels in instance
+/// order, then the sorted (src, dst, label) triples of its edges. The count
+/// prefix fixes where the labels end, and labels are stored as their
+/// two's-complement words, so no label value (negative ones included) can
+/// make two different local graphs share a layout.
+std::vector<std::uint32_t> ShapeOf(const LabeledGraph& host,
+                                   const Instance& inst) {
+  std::vector<std::array<std::uint32_t, 3>> triples;
+  for (const EdgeId e : inst.edges) {
+    const Edge& edge = host.edge(e);
+    triples.push_back({PositionOf(inst, edge.src), PositionOf(inst, edge.dst),
+                       static_cast<std::uint32_t>(edge.label)});
+  }
+  std::sort(triples.begin(), triples.end());
+  std::vector<std::uint32_t> words = {
+      static_cast<std::uint32_t>(inst.vertices.size())};
+  for (const VertexId v : inst.vertices) {
+    words.push_back(static_cast<std::uint32_t>(host.vertex_label(v)));
+  }
+  for (const auto& triple : triples) {
+    words.insert(words.end(), triple.begin(), triple.end());
+  }
+  return words;
+}
+
+/// One extension of a parent instance, named up to its grown local graph:
+/// the parent instance's interned shape, the anchor's position in the
+/// instance, 1 if the new edge leaves the anchor, the edge label, the
+/// target's position (the instance size for a new vertex) and the new
+/// vertex's label (0 when the target is in the instance). The grown local
+/// graph (vertices in instance order, a new vertex last) is a function of
+/// these words, so all instances with one key share one canonical code.
+using ExtensionKey = std::array<std::uint32_t, 6>;
+
+/// FNV-1a over 32-bit words (shapes, extension keys, edge-id sets).
+struct WordsHash {
+  template <typename Words>
+  std::size_t operator()(const Words& words) const {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const std::uint32_t w : words) h = (h ^ w) * 1099511628211ULL;
+    return static_cast<std::size_t>(h);
+  }
+};
 
 /// Greedy vertex-disjoint instance selection, in list order. Returns the
 /// selected indices.
@@ -226,17 +265,20 @@ SubdueResult DiscoverSubstructures(const LabeledGraph& g,
   };
 
   std::vector<Substructure> parents;
-  for (auto& [label, sub] : initial) {
-    const common::MiningOutcome stop =
-        meter.Charge(1 + sub.instances.size());
-    if (stop != common::MiningOutcome::kComplete) {
-      result.outcome = common::CombineOutcomes(result.outcome, stop);
-      break;
+  {
+    TNMINE_TRACE_SPAN("subdue/evaluate");
+    for (auto& [label, sub] : initial) {
+      const common::MiningOutcome stop =
+          meter.Charge(1 + sub.instances.size());
+      if (stop != common::MiningOutcome::kComplete) {
+        result.outcome = common::CombineOutcomes(result.outcome, stop);
+        break;
+      }
+      Evaluate(ctx, &sub);
+      ++result.substructures_evaluated;
+      offer_best(sub);
+      parents.push_back(std::move(sub));
     }
-    Evaluate(ctx, &sub);
-    ++result.substructures_evaluated;
-    offer_best(sub);
-    parents.push_back(std::move(sub));
   }
   std::sort(parents.begin(), parents.end(),
             [](const Substructure& a, const Substructure& b) {
@@ -246,6 +288,11 @@ SubdueResult DiscoverSubstructures(const LabeledGraph& g,
     beam_evictions += parents.size() - options.beam_width;
     parents.resize(options.beam_width);
   }
+
+  auto full = [&](const std::vector<Instance>& instances) {
+    return options.max_instances != 0 &&
+           instances.size() >= options.max_instances;
+  };
 
   while (result.outcome == common::MiningOutcome::kComplete &&
          !parents.empty() && result.substructures_evaluated < limit) {
@@ -257,57 +304,76 @@ SubdueResult DiscoverSubstructures(const LabeledGraph& g,
       struct Child {
         LabeledGraph pattern;
         std::vector<Instance> instances;
-        std::unordered_set<std::string> seen;  // instance dedup
+        // Edge sets of the instances kept: a grown instance's vertices are
+        // exactly its edges' endpoints, so its edge set identifies it.
+        std::unordered_set<std::vector<EdgeId>, WordsHash> seen;
       };
       std::map<std::string, Child> children;
-      for (const Substructure& parent : parents) {
-        if (result.outcome != common::MiningOutcome::kComplete) break;
-        if (options.max_pattern_edges != 0 &&
-            parent.pattern.num_edges() >= options.max_pattern_edges) {
-          continue;
-        }
-        for (const Instance& inst : parent.instances) {
-          const common::MiningOutcome grow_stop = meter.Charge(1);
-          if (grow_stop != common::MiningOutcome::kComplete) {
-            result.outcome = common::CombineOutcomes(result.outcome, grow_stop);
-            break;
+      {
+        TNMINE_TRACE_SPAN("subdue/grow");
+        // One canonical code per extension key, computed at the key's first
+        // instance; every later instance with the key joins that child
+        // (DESIGN.md §11, "SUBDUE extension keys").
+        std::unordered_map<std::vector<std::uint32_t>, std::uint32_t,
+                           WordsHash>
+            shapes;
+        std::unordered_map<ExtensionKey, Child*, WordsHash> by_key;
+        for (const Substructure& parent : parents) {
+          if (result.outcome != common::MiningOutcome::kComplete) break;
+          if (options.max_pattern_edges != 0 &&
+              parent.pattern.num_edges() >= options.max_pattern_edges) {
+            continue;
           }
-          // Membership helpers.
-          auto vertex_in = [&](VertexId v) {
-            return std::find(inst.vertices.begin(), inst.vertices.end(), v) !=
-                   inst.vertices.end();
-          };
-          auto edge_in = [&](EdgeId e) {
-            return std::binary_search(inst.edges.begin(), inst.edges.end(), e);
-          };
-          for (VertexId v : inst.vertices) {
-            auto try_extend = [&](EdgeId e) {
-              if (edge_in(e)) return;
-              const Edge& edge = g.edge(e);
-              Instance grown = inst;
-              grown.edges.insert(
-                  std::lower_bound(grown.edges.begin(), grown.edges.end(), e),
-                  e);
-              const VertexId other = (edge.src == v) ? edge.dst : edge.src;
-              if (!vertex_in(other)) grown.vertices.push_back(other);
-              ++instances_grown;
-              const std::string key = InstanceKey(grown);
-              const LabeledGraph pattern = PatternOf(g, grown);
-              std::string code = iso::CanonicalCode(pattern);
-              auto [it, inserted] =
-                  children.try_emplace(std::move(code));
-              Child& child = it->second;
-              if (inserted) child.pattern = pattern;
-              if (!child.seen.insert(key).second) return;
-              if (options.max_instances != 0 &&
-                  child.instances.size() >= options.max_instances) {
-                return;
+          for (const Instance& inst : parent.instances) {
+            const common::MiningOutcome grow_stop = meter.Charge(1);
+            if (grow_stop != common::MiningOutcome::kComplete) {
+              result.outcome =
+                  common::CombineOutcomes(result.outcome, grow_stop);
+              break;
+            }
+            const std::uint32_t shape =
+                shapes.try_emplace(ShapeOf(g, inst), shapes.size())
+                    .first->second;
+            for (std::uint32_t anchor = 0; anchor < inst.vertices.size();
+                 ++anchor) {
+              auto try_extend = [&](EdgeId e, bool outgoing) {
+                if (std::binary_search(inst.edges.begin(), inst.edges.end(),
+                                       e)) {
+                  return;
+                }
+                ++instances_grown;
+                const Edge& edge = g.edge(e);
+                const VertexId other = outgoing ? edge.dst : edge.src;
+                const std::uint32_t target = PositionOf(inst, other);
+                const bool to_new = target == inst.vertices.size();
+                const ExtensionKey key = {
+                    shape, anchor, outgoing,
+                    static_cast<std::uint32_t>(edge.label), target,
+                    to_new ? static_cast<std::uint32_t>(g.vertex_label(other))
+                           : 0};
+                Child*& child = by_key[key];
+                if (child != nullptr && full(child->instances)) return;
+                Instance grown = inst;
+                grown.edges.insert(std::lower_bound(grown.edges.begin(),
+                                                    grown.edges.end(), e),
+                                   e);
+                if (to_new) grown.vertices.push_back(other);
+                if (child == nullptr) {
+                  LabeledGraph pattern = PatternOf(g, grown);
+                  auto [it, inserted] =
+                      children.try_emplace(iso::CanonicalCode(pattern));
+                  if (inserted) it->second.pattern = std::move(pattern);
+                  child = &it->second;
+                  if (full(child->instances)) return;
+                }
+                if (!child->seen.insert(grown.edges).second) return;
+                child->instances.push_back(std::move(grown));
+              };
+              const VertexId v = inst.vertices[anchor];
+              for (EdgeId e : view.OutEdgesById(v)) try_extend(e, true);
+              for (EdgeId e : view.InEdgesById(v)) {
+                if (g.edge(e).src != g.edge(e).dst) try_extend(e, false);
               }
-              child.instances.push_back(std::move(grown));
-            };
-            for (EdgeId e : view.OutEdgesById(v)) try_extend(e);
-            for (EdgeId e : view.InEdgesById(v)) {
-              if (g.edge(e).src != g.edge(e).dst) try_extend(e);
             }
           }
         }
@@ -317,34 +383,38 @@ SubdueResult DiscoverSubstructures(const LabeledGraph& g,
       // instance groups; evaluating them would under-count, so stop here.
       if (result.outcome != common::MiningOutcome::kComplete) break;
 
-      std::vector<Substructure> evaluated;
-      for (auto& [code, child] : children) {
-        if (result.substructures_evaluated >= limit) break;
-        (void)TNMINE_FAILPOINT("subdue/evaluate");
-        const common::MiningOutcome eval_stop =
-            meter.Charge(1 + child.instances.size());
-        if (eval_stop != common::MiningOutcome::kComplete) {
-          result.outcome = common::CombineOutcomes(result.outcome, eval_stop);
-          break;
+      {
+        TNMINE_TRACE_SPAN("subdue/evaluate");
+        std::vector<Substructure> evaluated;
+        for (auto& [code, child] : children) {
+          if (result.substructures_evaluated >= limit) break;
+          (void)TNMINE_FAILPOINT("subdue/evaluate");
+          const common::MiningOutcome eval_stop =
+              meter.Charge(1 + child.instances.size());
+          if (eval_stop != common::MiningOutcome::kComplete) {
+            result.outcome =
+                common::CombineOutcomes(result.outcome, eval_stop);
+            break;
+          }
+          Substructure sub;
+          sub.pattern = std::move(child.pattern);
+          sub.code = code;
+          sub.instances = std::move(child.instances);
+          Evaluate(ctx, &sub);
+          ++result.substructures_evaluated;
+          offer_best(sub);
+          evaluated.push_back(std::move(sub));
         }
-        Substructure sub;
-        sub.pattern = std::move(child.pattern);
-        sub.code = code;
-        sub.instances = std::move(child.instances);
-        Evaluate(ctx, &sub);
-        ++result.substructures_evaluated;
-        offer_best(sub);
-        evaluated.push_back(std::move(sub));
+        std::sort(evaluated.begin(), evaluated.end(),
+                  [](const Substructure& a, const Substructure& b) {
+                    return a.value > b.value;
+                  });
+        if (evaluated.size() > options.beam_width) {
+          beam_evictions += evaluated.size() - options.beam_width;
+          evaluated.resize(options.beam_width);
+        }
+        parents = std::move(evaluated);
       }
-      std::sort(evaluated.begin(), evaluated.end(),
-                [](const Substructure& a, const Substructure& b) {
-                  return a.value > b.value;
-                });
-      if (evaluated.size() > options.beam_width) {
-        beam_evictions += evaluated.size() - options.beam_width;
-        evaluated.resize(options.beam_width);
-      }
-      parents = std::move(evaluated);
     } catch (const std::bad_alloc&) {
       result.outcome = common::CombineOutcomes(
           result.outcome, common::MiningOutcome::kMemoryBudgetExceeded);

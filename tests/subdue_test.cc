@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 
+#include "common/budget.h"
 #include "common/random.h"
 #include "iso/canonical.h"
 #include "subdue/mdl.h"
@@ -11,6 +14,7 @@
 namespace tnmine::subdue {
 namespace {
 
+using graph::EdgeId;
 using graph::Label;
 using graph::LabeledGraph;
 using graph::VertexId;
@@ -286,6 +290,150 @@ TEST(SubdueTest, EmptyEdgeGraph) {
   // Only the single-vertex substructure exists; nothing compresses.
   ASSERT_FALSE(r.best.empty());
   EXPECT_EQ(r.best.front().pattern.num_edges(), 0u);
+}
+
+/// A multigraph with every texture SUBDUE's instance grouping must tell
+/// apart: several vertex and edge labels (some negative), self-loops,
+/// parallel and antiparallel pairs, and a hub touching most vertices.
+LabeledGraph TexturedMultigraph(std::uint64_t seed) {
+  constexpr Label kVertexLabels[] = {-2, -1, 0, 3};
+  constexpr Label kEdgeLabels[] = {-1, 0, 2};
+  Rng rng(seed);
+  auto edge_label = [&] { return kEdgeLabels[rng.NextBounded(3)]; };
+  LabeledGraph g;
+  const auto n = static_cast<VertexId>(12 + rng.NextBounded(6));
+  for (VertexId v = 0; v < n; ++v) {
+    g.AddVertex(kVertexLabels[rng.NextBounded(4)]);
+  }
+  const VertexId hub = 0;
+  for (VertexId v = 1; v < n;
+       v += static_cast<VertexId>(1 + rng.NextBounded(2))) {
+    const Label label = edge_label();
+    if (rng.NextBool()) {
+      g.AddEdge(hub, v, label);
+    } else {
+      g.AddEdge(v, hub, label);
+    }
+  }
+  for (VertexId i = 0; i < 2 * n; ++i) {
+    const auto a = static_cast<VertexId>(rng.NextBounded(n));
+    const auto b = static_cast<VertexId>(rng.NextBounded(n));
+    const Label label = edge_label();
+    g.AddEdge(a, b, label);  // a == b is a self-loop
+    switch (rng.NextBounded(4)) {
+      case 0:
+        g.AddEdge(a, b, label);  // parallel twin
+        break;
+      case 1:
+        g.AddEdge(b, a, edge_label());  // antiparallel partner
+        break;
+      default:
+        break;
+    }
+  }
+  return g;
+}
+
+/// FNV-1a of everything a SubdueResult reports, chained through `h`.
+std::uint64_t HashResult(const SubdueResult& r, std::uint64_t h) {
+  std::string text;
+  char buf[64];
+  auto add = [&](const char* format, auto value) {
+    std::snprintf(buf, sizeof(buf), format, value);
+    text += buf;
+  };
+  add("outcome %d ", static_cast<int>(r.outcome));
+  add("evaluated %zu ", r.substructures_evaluated);
+  add("ticks %llu ", static_cast<unsigned long long>(r.work_ticks));
+  add("base %.17g\n", r.base_cost);
+  for (const Substructure& sub : r.best) {
+    text += sub.code;
+    add(" value %.17g", sub.value);
+    add(" disjoint %zu\n", sub.non_overlapping_instances);
+    for (VertexId v = 0; v < sub.pattern.num_vertices(); ++v) {
+      add("%d ", sub.pattern.vertex_label(v));
+    }
+    sub.pattern.ForEachEdge([&](EdgeId e) {
+      const graph::Edge& edge = sub.pattern.edge(e);
+      add("%u>", edge.src);
+      add("%u:", edge.dst);
+      add("%d ", edge.label);
+    });
+    text += '\n';
+    for (const Instance& inst : sub.instances) {
+      for (const VertexId v : inst.vertices) add("%u ", v);
+      text += '|';
+      for (const EdgeId e : inst.edges) add(" %u", e);
+      text += '\n';
+    }
+  }
+  for (const unsigned char c : text) h = (h ^ c) * 1099511628211ULL;
+  return h;
+}
+
+/// Pins the full output of every run (patterns, codes, values, instance
+/// lists in order, evaluation counts, ticks, outcome) over graphs that mix
+/// labels, loops, parallel and antiparallel pairs and a hub, under every
+/// evaluation method, with overlap on and off, with instance caps off and
+/// binding, and with the tick budget cut at 50%, 10% and 1%. Any change to
+/// how grown instances are keyed, grouped, ordered or capped moves a hash.
+TEST(SubdueTest, PinnedOutputOnTexturedMultigraphs) {
+  struct Pin {
+    std::uint64_t seed;
+    EvalMethod method;
+    std::uint64_t fnv;
+  };
+  const Pin pins[] = {
+      {11, EvalMethod::kMdl, 0xb4fe061adcfa29b3ULL},
+      {11, EvalMethod::kSize, 0x8bf1933670d7c8cfULL},
+      {11, EvalMethod::kSetCover, 0x37a5abca2b952493ULL},
+      {12, EvalMethod::kMdl, 0x2d19eae01e7e5c43ULL},
+      {12, EvalMethod::kSize, 0x6134e59e404fdc29ULL},
+      {12, EvalMethod::kSetCover, 0x1fa5f655ce223c23ULL},
+      {13, EvalMethod::kMdl, 0x73a692287c8a4315ULL},
+      {13, EvalMethod::kSize, 0xb0ac93358f649dc3ULL},
+      {13, EvalMethod::kSetCover, 0x551168884ffcb25cULL},
+      {14, EvalMethod::kMdl, 0xa791413fd8220e6fULL},
+      {14, EvalMethod::kSize, 0x2af4bac42a4d463fULL},
+      {14, EvalMethod::kSetCover, 0xb28be2c956133102ULL},
+  };
+  constexpr std::size_t kCap = 3;
+  bool cap_bound = false;
+  for (const Pin& pin : pins) {
+    const LabeledGraph g = TexturedMultigraph(pin.seed);
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const bool overlap : {false, true}) {
+      for (const std::size_t cap : {std::size_t{0}, kCap}) {
+        SubdueOptions options;
+        options.method = pin.method;
+        options.beam_width = 4;
+        options.num_best = 4;
+        options.limit = 200;
+        options.allow_overlap = overlap;
+        options.max_instances = cap;
+        // Accounting-only budget: active, tick-unlimited.
+        options.budget = common::ResourceBudget(common::BudgetLimits{});
+        const SubdueResult full = DiscoverSubstructures(g, options);
+        ASSERT_EQ(full.outcome, common::MiningOutcome::kComplete);
+        h = HashResult(full, h);
+        for (const Substructure& sub : full.best) {
+          cap_bound = cap_bound || (cap != 0 && sub.instances.size() == cap);
+        }
+        for (const double fraction : {0.5, 0.1, 0.01}) {
+          common::BudgetLimits limits;
+          limits.max_work_ticks = std::max<std::uint64_t>(
+              1, static_cast<std::uint64_t>(
+                     static_cast<double>(full.work_ticks) * fraction));
+          options.budget = common::ResourceBudget(limits);
+          h = HashResult(DiscoverSubstructures(g, options), h);
+        }
+      }
+    }
+    EXPECT_EQ(h, pin.fnv) << "seed " << pin.seed << " method "
+                          << static_cast<int>(pin.method) << ": got 0x"
+                          << std::hex << h;
+  }
+  EXPECT_TRUE(cap_bound);
 }
 
 }  // namespace

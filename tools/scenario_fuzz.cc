@@ -31,11 +31,17 @@
 //                    directory (DESIGN.md §16) — is byte-identical to
 //                    the classic in-RAM run, for both miners, at
 //                    multiple thread counts.
+//   subdue_instances SUBDUE on the transactions as one disjoint-union host:
+//                    every reported instance's edges form a graph with the
+//                    substructure's canonical code, instances are pairwise
+//                    distinct and within max_instances, and the disjoint
+//                    count equals a greedy recount.
 //
 // Usage:
 //   scenario_fuzz [--seed N] [--iters M]
 //                 [--oracle miner_equiv|parallel|encoding|budget_prefix|
-//                           support_monotone|partition|shard_equiv|all]
+//                           support_monotone|partition|shard_equiv|
+//                           subdue_instances|all]
 //                 [--artifact-dir DIR] [--replay FILE] [--corpus DIR]
 //
 // Exit status 0 when every iteration passes; 1 on the first failure after
@@ -56,6 +62,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -77,9 +84,11 @@
 #include "graph/transaction_source.h"
 #include "gspan/dfs_code.h"
 #include "gspan/gspan.h"
+#include "iso/canonical.h"
 #include "partition/multilevel.h"
 #include "pattern/pattern.h"
 #include "pattern/tid_set.h"
+#include "subdue/subdue.h"
 #include "synth/kk_generator.h"
 #include "synth/scenario.h"
 
@@ -554,6 +563,90 @@ std::optional<std::string> OracleShardEquiv(
   return std::nullopt;
 }
 
+std::optional<std::string> OracleSubdueInstances(
+    const std::vector<LabeledGraph>& txns, const ScenarioConfig& config) {
+  using tnmine::graph::EdgeId;
+  using tnmine::graph::VertexId;
+  namespace subdue = tnmine::subdue;
+  const LabeledGraph host = FlattenDisjoint(txns);
+  // SUBDUE's knobs are drawn from the generator seed, so a replay (and a
+  // minimized sidecar, which keeps the seed) reruns the same search.
+  Rng rng(config.generator.seed ^ 0x5B0D0E5ULL);
+  constexpr subdue::EvalMethod kMethods[] = {subdue::EvalMethod::kMdl,
+                                             subdue::EvalMethod::kSize,
+                                             subdue::EvalMethod::kSetCover};
+  subdue::SubdueOptions options;
+  options.method = kMethods[rng.NextBounded(3)];
+  options.allow_overlap = rng.NextBool();
+  options.max_instances = rng.NextBool() ? 0 : 1 + rng.NextBounded(6);
+  options.beam_width = 2 + rng.NextBounded(3);
+  options.limit = 8 + rng.NextBounded(33);
+  options.num_best = options.limit;  // report every evaluated substructure
+  options.max_pattern_edges = config.max_edges;
+  const subdue::SubdueResult result =
+      subdue::DiscoverSubstructures(host, options);
+  const std::string where =
+      " (method " + std::to_string(static_cast<int>(options.method)) +
+      ", max_instances " + std::to_string(options.max_instances) + ")";
+  for (const subdue::Substructure& sub : result.best) {
+    if (options.max_instances != 0 &&
+        sub.instances.size() > options.max_instances) {
+      return "subdue_instances: substructure '" + sub.code + "' keeps " +
+             std::to_string(sub.instances.size()) + " instances" + where;
+    }
+    std::set<std::pair<std::vector<VertexId>, std::vector<EdgeId>>> seen;
+    std::vector<char> used(host.num_vertices(), 0);
+    std::size_t disjoint = 0;
+    for (const subdue::Instance& inst : sub.instances) {
+      // The instance's own local graph, vertices in instance order.
+      LabeledGraph local;
+      std::vector<VertexId> position(host.num_vertices(),
+                                     tnmine::graph::kInvalidVertex);
+      for (const VertexId v : inst.vertices) {
+        if (v >= host.num_vertices()) {
+          return "subdue_instances: an instance of '" + sub.code +
+                 "' names vertex " + std::to_string(v) + where;
+        }
+        position[v] = local.AddVertex(host.vertex_label(v));
+      }
+      for (const EdgeId e : inst.edges) {
+        if (e >= host.edge_capacity() ||
+            position[host.edge(e).src] == tnmine::graph::kInvalidVertex ||
+            position[host.edge(e).dst] == tnmine::graph::kInvalidVertex) {
+          return "subdue_instances: an instance of '" + sub.code +
+                 "' has an edge outside its vertex list" + where;
+        }
+        const auto& edge = host.edge(e);
+        local.AddEdge(position[edge.src], position[edge.dst], edge.label);
+      }
+      if (tnmine::iso::CanonicalCode(local) != sub.code) {
+        return "subdue_instances: an instance of '" + sub.code +
+               "' is a '" + tnmine::iso::CanonicalCode(local) + "'" + where;
+      }
+      std::vector<VertexId> vertices = inst.vertices;
+      std::vector<EdgeId> edges = inst.edges;
+      std::sort(vertices.begin(), vertices.end());
+      std::sort(edges.begin(), edges.end());
+      if (!seen.emplace(std::move(vertices), std::move(edges)).second) {
+        return "subdue_instances: substructure '" + sub.code +
+               "' lists one instance twice" + where;
+      }
+      if (std::none_of(inst.vertices.begin(), inst.vertices.end(),
+                       [&](VertexId v) { return used[v] != 0; })) {
+        for (const VertexId v : inst.vertices) used[v] = 1;
+        ++disjoint;
+      }
+    }
+    if (disjoint != sub.non_overlapping_instances) {
+      return "subdue_instances: substructure '" + sub.code + "' reports " +
+             std::to_string(sub.non_overlapping_instances) +
+             " disjoint instances, a greedy recount finds " +
+             std::to_string(disjoint) + where;
+    }
+  }
+  return std::nullopt;
+}
+
 // ---------------------------------------------------------------------------
 
 struct Oracle {
@@ -572,6 +665,7 @@ const std::vector<Oracle>& Oracles() {
       {"support_monotone", OracleSupportMonotone},
       {"partition", OraclePartition},
       {"shard_equiv", OracleShardEquiv},
+      {"subdue_instances", OracleSubdueInstances},
   };
   return oracles;
 }
@@ -658,7 +752,7 @@ int Usage(const char* argv0) {
       "usage: %s [--seed N] [--iters M] [--oracle NAME|all]\n"
       "          [--artifact-dir DIR] [--replay FILE] [--corpus DIR]\n"
       "oracles: miner_equiv parallel encoding budget_prefix "
-      "support_monotone partition shard_equiv\n",
+      "support_monotone partition shard_equiv subdue_instances\n",
       argv0);
   return 2;
 }

@@ -44,6 +44,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -181,6 +182,29 @@ int CmdStats(const Flags& flags) {
   return 0;
 }
 
+/// True when --`flag` is absent or one of `accepted` (the first is the
+/// default). Otherwise prints a usage error listing the accepted values:
+/// the commands check their choice flags before loading any data, so a
+/// typo fails fast instead of silently running the default experiment.
+bool IsAccepted(const Flags& flags, const char* flag,
+                std::initializer_list<const char*> accepted) {
+  if (!flags.Has(flag)) return true;
+  const std::string value = flags.Get(flag, "");
+  std::string list;
+  for (const char* choice : accepted) {
+    if (value == choice) return true;
+    list += list.empty() ? choice : std::string(", ") + choice;
+  }
+  std::fprintf(stderr, "usage error: --%s '%s' is not one of: %s\n", flag,
+               value.c_str(), list.c_str());
+  return false;
+}
+
+/// The --attribute values BuildGraphFor understands.
+bool IsAcceptedAttribute(const Flags& flags) {
+  return IsAccepted(flags, "attribute", {"weight", "hours", "distance"});
+}
+
 data::OdGraph BuildGraphFor(const Flags& flags,
                             const data::TransactionDataset& dataset) {
   const std::string attr = flags.Get("attribute", "weight");
@@ -190,6 +214,11 @@ data::OdGraph BuildGraphFor(const Flags& flags,
 }
 
 int CmdStructural(const Flags& flags) {
+  if (!IsAcceptedAttribute(flags) ||
+      !IsAccepted(flags, "strategy", {"bf", "df"}) ||
+      !IsAccepted(flags, "miner", {"fsg", "gspan"})) {
+    return 2;
+  }
   data::TransactionDataset dataset;
   if (!LoadData(flags, &dataset)) return 1;
   const data::OdGraph od = BuildGraphFor(flags, dataset);
@@ -270,6 +299,10 @@ int CmdTemporal(const Flags& flags) {
 }
 
 int CmdSubdue(const Flags& flags) {
+  if (!IsAcceptedAttribute(flags) ||
+      !IsAccepted(flags, "method", {"mdl", "size", "setcover"})) {
+    return 2;
+  }
   data::TransactionDataset dataset;
   if (!LoadData(flags, &dataset)) return 1;
   const data::OdGraph od = BuildGraphFor(flags, dataset);
@@ -355,6 +388,7 @@ int CmdDeadhead(const Flags& flags) {
 }
 
 int CmdExport(const Flags& flags) {
+  if (!IsAcceptedAttribute(flags)) return 2;
   data::TransactionDataset dataset;
   if (!LoadData(flags, &dataset)) return 1;
   std::string error;
@@ -472,6 +506,7 @@ std::unique_ptr<graph::TransactionSource> OpenMiningSource(
 /// charged against --max-memory-mb; output is byte-identical to mining
 /// the same transactions in RAM.
 int CmdMine(const Flags& flags) {
+  if (!IsAccepted(flags, "miner", {"fsg", "gspan"})) return 2;
   const common::ResourceBudget budget = BudgetFromFlags(flags);
   const std::unique_ptr<graph::TransactionSource> source =
       OpenMiningSource(flags, budget);
