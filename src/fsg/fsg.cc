@@ -1,7 +1,6 @@
 #include "fsg/fsg.h"
 
 #include <algorithm>
-#include <array>
 #include <map>
 #include <memory>
 #include <set>
@@ -104,12 +103,6 @@ enum WedgeRole : std::uint32_t {
 constexpr int kRoleBits = 3;
 constexpr std::uint64_t kRoleMask = (1u << kRoleBits) - 1;
 
-/// Role of vertex v in edge e.
-WedgeRole RoleOf(const Edge& e, VertexId v) {
-  if (e.src == v && e.dst == v) return kRoleLoop;
-  return e.src == v ? kRoleSrc : kRoleDst;
-}
-
 /// One edge of a wedge: (type id << kRoleBits) | role.
 std::uint64_t WedgeEnd(std::uint32_t type, WedgeRole role) {
   return (std::uint64_t{type} << kRoleBits) | role;
@@ -144,27 +137,51 @@ struct WedgeKeyHash {
 template <typename V>
 using WedgeMap = std::unordered_map<WedgeKey, V, WedgeKeyHash>;
 
-/// Wedge key of the edges e1, e2 of pattern `g`, which must share a
-/// vertex. Edge types no transaction showed are interned here, so
-/// isomorphic candidates still get one key.
-WedgeKey PatternWedgeKey(const LabeledGraph& g, EdgeId e1, EdgeId e2,
-                         TypeIds& ids) {
-  const Edge& a = g.edge(e1);
-  const Edge& b = g.edge(e2);
-  const auto type_of = [&](const Edge& e) {
-    const graph::GraphView::EdgeTypeKey key{
-        g.vertex_label(e.src), g.vertex_label(e.dst), e.label, e.src == e.dst};
-    return InternType(ids, key);
-  };
-  const std::uint32_t ta = type_of(a);
-  const std::uint32_t tb = type_of(b);
+/// A pattern edge as wedge keys see it: endpoints and interned type. The
+/// edge need not be in a graph yet: candidate generation keys the edge an
+/// extension would add, numbering a new vertex pg.num_vertices().
+struct TypedEdge {
+  VertexId src;
+  VertexId dst;
+  std::uint32_t type;
+};
+
+/// Edge e of pattern `g`. Edge types no transaction showed are interned
+/// here, so isomorphic candidates still get one key.
+TypedEdge InternEdge(const LabeledGraph& g, EdgeId e, TypeIds& ids) {
+  const Edge& edge = g.edge(e);
+  const Label src = g.vertex_label(edge.src);
+  const Label dst = g.vertex_label(edge.dst);
+  const bool loop = edge.src == edge.dst;
+  return {edge.src, edge.dst, InternType(ids, {src, dst, edge.label, loop})};
+}
+
+bool ShareVertex(const TypedEdge& a, const TypedEdge& b) {
+  return a.src == b.src || a.src == b.dst || a.dst == b.src || a.dst == b.dst;
+}
+
+/// Role of vertex v in edge e.
+WedgeRole RoleOf(const TypedEdge& e, VertexId v) {
+  if (e.src == v && e.dst == v) return kRoleLoop;
+  return e.src == v ? kRoleSrc : kRoleDst;
+}
+
+/// Wedge key of two pattern edges that share a vertex.
+WedgeKey WedgeKeyOf(const TypedEdge& a, const TypedEdge& b) {
   if (a.src != a.dst && b.src != b.dst &&
       std::minmax(a.src, a.dst) == std::minmax(b.src, b.dst)) {
     const WedgeRole role = a.src == b.src ? kRoleParallel : kRoleAntiparallel;
-    return MakeWedgeKey(WedgeEnd(ta, role), WedgeEnd(tb, role));
+    return MakeWedgeKey(WedgeEnd(a.type, role), WedgeEnd(b.type, role));
   }
   const VertexId v = a.src == b.src || a.src == b.dst ? a.src : a.dst;
-  return MakeWedgeKey(WedgeEnd(ta, RoleOf(a, v)), WedgeEnd(tb, RoleOf(b, v)));
+  return MakeWedgeKey(WedgeEnd(a.type, RoleOf(a, v)),
+                      WedgeEnd(b.type, RoleOf(b, v)));
+}
+
+/// Wedge key of the edges e1, e2 of pattern `g`, which must share a vertex.
+WedgeKey PatternWedgeKey(const LabeledGraph& g, EdgeId e1, EdgeId e2,
+                         TypeIds& ids) {
+  return WedgeKeyOf(InternEdge(g, e1, ids), InternEdge(g, e2, ids));
 }
 
 /// Appends to `keys` the key of every wedge of transaction `t`, repeats
@@ -527,18 +544,17 @@ FsgResult MineFsg(graph::TransactionSource& source,
   // candidates that reference them.
   std::unordered_map<std::string, std::shared_ptr<const TidSet>>
       previous_level_tids;
-  // When the previous level holds 2-edge patterns, the same sets keyed
-  // by wedge key: 3-edge extensions then run their closure checks
-  // without building sub-graphs or canonical codes.
-  WedgeMap<std::shared_ptr<const TidSet>> previous_level_wedges;
+  // The frequent 2-edge patterns' sets keyed by wedge key, kept from
+  // level 2 on: the wedge check of every later level looks up an
+  // extension's new wedges here, without building the extension.
+  WedgeMap<std::shared_ptr<const TidSet>> frequent_wedges;
   auto rebuild_previous = [&](const std::vector<FrequentPattern>& fr) {
     previous_level_tids.clear();
-    previous_level_wedges.clear();
     for (const FrequentPattern& p : fr) {
       auto set = std::make_shared<const TidSet>(p.tids);
       previous_level_tids.emplace(p.code, set);
       if (p.graph.num_edges() == 2) {
-        previous_level_wedges.emplace(
+        frequent_wedges.emplace(
             PatternWedgeKey(p.graph, EdgeId{0}, EdgeId{1}, type_ids),
             std::move(set));
       }
@@ -606,8 +622,11 @@ FsgResult MineFsg(graph::TransactionSource& source,
     // Level-local telemetry, flushed once per level so the hot extension
     // loop stays free of atomics.
     std::uint64_t extensions_considered = 0;
+    std::uint64_t wedge_pruned = 0;
     std::uint64_t pruned_closure = 0;
     std::uint64_t pruned_by_join = 0;
+    // The parent's edges with their types interned, once per parent.
+    std::vector<TypedEdge> parent_edges;
 
     try {
       TNMINE_TRACE_SPAN("fsg/generate");
@@ -620,12 +639,20 @@ FsgResult MineFsg(graph::TransactionSource& source,
         std::shared_ptr<const TidSet> parent_shared;
         std::vector<std::shared_ptr<const TidSet>> sub_sets;
         std::map<std::pair<EdgeType, bool>, std::uint32_t> cand_type_counts;
-        WedgeKey parent_key;
-        if (pg.num_edges() == 2) {
-          parent_key = PatternWedgeKey(pg, EdgeId{0}, EdgeId{1}, type_ids);
+        parent_edges.clear();
+        if (level >= 3) {
+          pg.ForEachEdge([&](EdgeId e) {
+            parent_edges.push_back(InternEdge(pg, e, type_ids));
+          });
         }
-        auto consider = [&](LabeledGraph&& extended, const EdgeType& t,
-                            bool self_loop) {
+        WedgeKey parent_key;
+        if (level == 3) {
+          parent_key = WedgeKeyOf(parent_edges[0], parent_edges[1]);
+        }
+        // The new vertex's id when the added edge has one end outside pg.
+        const auto fresh = static_cast<VertexId>(pg.num_vertices());
+        // Considers pg plus an edge of type t from src to dst.
+        auto consider = [&](VertexId src, VertexId dst, const EdgeType& t) {
           if (oom || level_outcome != common::MiningOutcome::kComplete) {
             return;
           }
@@ -633,13 +660,47 @@ FsgResult MineFsg(graph::TransactionSource& source,
           ++extensions_considered;
           // One tick per extension plus one per edge covers the canonical
           // code and closure checks; all of it runs sequentially, so the
-          // ledger is deterministic.
-          const common::MiningOutcome stop =
-              meter.Charge(1 + extended.num_edges());
+          // ledger is deterministic. The charge comes before the wedge
+          // check, so the check moves no budget cut (DESIGN.md §12).
+          const common::MiningOutcome stop = meter.Charge(2 + pg.num_edges());
           if (stop != common::MiningOutcome::kComplete) {
             level_outcome = stop;
             return;
           }
+          const bool self_loop = src == dst;
+          if (level >= 3) {
+            // Wedge check: each wedge the new edge forms with a parent
+            // edge is a connected 2-edge sub-pattern, so it must be a
+            // frequent level-2 pattern. A miss means the closure check
+            // below would prune the extension; skip it before building
+            // it. At level 3 these wedges are the extension's 2-edge
+            // sub-patterns besides the parent, so their sets are its
+            // feasibility filters. Parent edges go last to first; the
+            // order fixes the intersection sequence, and with it the
+            // tidset/* work counters.
+            const graph::GraphView::EdgeTypeKey type{
+                t.src_label, t.dst_label, t.edge_label, self_loop};
+            const TypedEdge added{src, dst, InternType(type_ids, type)};
+            sub_sets.clear();
+            for (std::size_t i = parent_edges.size(); i-- > 0;) {
+              if (!ShareVertex(parent_edges[i], added)) continue;
+              const WedgeKey key = WedgeKeyOf(parent_edges[i], added);
+              const auto it = frequent_wedges.find(key);
+              if (it == frequent_wedges.end()) {
+                ++wedge_pruned;
+                return;
+              }
+              if (level != 3 || key == parent_key) continue;
+              if (std::find(sub_sets.begin(), sub_sets.end(), it->second) ==
+                  sub_sets.end()) {
+                sub_sets.push_back(it->second);
+              }
+            }
+          }
+          LabeledGraph extended = pg;
+          if (src == fresh) extended.AddVertex(t.src_label);
+          if (dst == fresh) extended.AddVertex(t.dst_label);
+          extended.AddEdge(src, dst, t.edge_label);
           std::string code;
           std::shared_ptr<const TidSet> feasible;
           bool feasible_exact = false;
@@ -651,23 +712,13 @@ FsgResult MineFsg(graph::TransactionSource& source,
             // isomorphic extensions before any canonical-code work
             // (isomorphic extensions serialize differently, and each
             // distinct serialization would pay a full canonical search);
-            // the retained edge's level-1 frequency is the whole
-            // downward-closure check; and the key's TID set is the exact
-            // support set, inside the parent's by anti-monotonicity
-            // (DESIGN.md §12).
+            // and the key's TID set is the exact support set, inside the
+            // parent's by anti-monotonicity (DESIGN.md §12), so it also
+            // stands in for the downward-closure check: a wedge with an
+            // infrequent edge is infrequent.
             const WedgeKey key = PatternWedgeKey(
                 extended, EdgeId{0}, EdgeId{1}, type_ids);
             if (!level2_seen.insert(key).second) return;  // isomorphic dup
-            const Edge& kept = extended.edge(EdgeId{0});
-            const auto kept_it = type_tids.find(
-                {EdgeType{extended.vertex_label(kept.src),
-                          extended.vertex_label(kept.dst), kept.label},
-                 kept.src == kept.dst});
-            if (kept_it == type_tids.end() ||
-                kept_it->second->Cardinality() < options.min_support) {
-              ++pruned_closure;
-              return;
-            }
             const auto wit = wedge_tids.find(key);
             feasible = wit == wedge_tids.end() ? empty_tids : wit->second;
             feasible_exact = true;
@@ -696,47 +747,18 @@ FsgResult MineFsg(graph::TransactionSource& source,
             // Downward closure: every connected k-edge sub-pattern must
             // be frequent. Found sub-patterns double as feasibility
             // filters: their TID sets are supersets of the candidate's
-            // support.
+            // support. At level 3 the wedge check above has tested every
+            // sub-pattern and collected their sets.
             bool prunable = false;
-            sub_sets.clear();
-            // The extension appended its edge last, so dropping it just
-            // reconstructs the parent — frequent by construction and
-            // already the feasibility base; skip that copy+code
-            // round-trip.
-            const auto added = static_cast<EdgeId>(extended.num_edges() - 1);
-            const std::vector<EdgeId> live = extended.LiveEdges();
-            if (extended.num_edges() == 3) {
-              // 2-edge subs are checked by wedge key: no sub-graph
-              // copy, no canonical code, and connectivity of the
-              // remaining pair is just "do they share a vertex".
-              for (EdgeId drop : live) {
-                if (drop == added) continue;
-                std::array<EdgeId, 2> rest;
-                std::size_t r = 0;
-                for (EdgeId e : live) {
-                  if (e != drop) rest[r++] = e;
-                }
-                const Edge& ex = extended.edge(rest[0]);
-                const Edge& ey = extended.edge(rest[1]);
-                if (ex.src != ey.src && ex.src != ey.dst &&
-                    ex.dst != ey.src && ex.dst != ey.dst) {
-                  continue;  // disconnected sub: not checkable
-                }
-                const WedgeKey sub_key = PatternWedgeKey(
-                    extended, rest[0], rest[1], type_ids);
-                const auto sub_it = previous_level_wedges.find(sub_key);
-                if (sub_it == previous_level_wedges.end()) {
-                  prunable = true;
-                  break;
-                }
-                if (sub_key == parent_key) continue;  // base set already
-                if (std::find(sub_sets.begin(), sub_sets.end(),
-                              sub_it->second) == sub_sets.end()) {
-                  sub_sets.push_back(sub_it->second);
-                }
-              }
-            } else {
-              for (EdgeId drop : live) {
+            if (extended.num_edges() > 3) {
+              sub_sets.clear();
+              // The extension appended its edge last, so dropping it
+              // just reconstructs the parent — frequent by construction
+              // and already the feasibility base; skip that copy+code
+              // round-trip.
+              const auto added =
+                  static_cast<EdgeId>(extended.num_edges() - 1);
+              for (EdgeId drop : extended.LiveEdges()) {
                 if (drop == added) continue;
                 const LabeledGraph sub = WithoutEdge(extended, drop);
                 if (!graph::IsWeaklyConnected(sub)) continue;  // not checkable
@@ -835,29 +857,17 @@ FsgResult MineFsg(graph::TransactionSource& source,
           const Label lu = pg.vertex_label(u);
           for (const EdgeType& t : frequent_edges) {
             if (t.src_label == lu) {
-              // u -> new vertex.
-              {
-                LabeledGraph ext = pg;
-                const VertexId w = ext.AddVertex(t.dst_label);
-                ext.AddEdge(u, w, t.edge_label);
-                consider(std::move(ext), t, /*self_loop=*/false);
-              }
+              consider(u, fresh, t);  // u -> new vertex
               // u -> existing vertex (including self-loop when labels
               // allow).
               for (VertexId w = 0; w < pg.num_vertices(); ++w) {
-                if (pg.vertex_label(w) != t.dst_label) continue;
-                LabeledGraph ext = pg;
-                ext.AddEdge(u, w, t.edge_label);
-                consider(std::move(ext), t, /*self_loop=*/w == u);
+                if (pg.vertex_label(w) == t.dst_label) consider(u, w, t);
               }
             }
             if (t.dst_label == lu) {
               // new vertex -> u. (existing -> u is covered by the outgoing
               // case at that existing vertex.)
-              LabeledGraph ext = pg;
-              const VertexId w = ext.AddVertex(t.src_label);
-              ext.AddEdge(w, u, t.edge_label);
-              consider(std::move(ext), t, /*self_loop=*/false);
+              consider(fresh, u, t);
             }
             if (oom || level_outcome != common::MiningOutcome::kComplete) {
               break;
@@ -875,6 +885,7 @@ FsgResult MineFsg(graph::TransactionSource& source,
     }
     result.candidates_per_level.push_back(candidates.size());
     TNMINE_COUNTER_ADD("fsg/extensions_considered", extensions_considered);
+    TNMINE_COUNTER_ADD("fsg/extensions_wedge_pruned", wedge_pruned);
     TNMINE_COUNTER_ADD("fsg/candidates_pruned_closure", pruned_closure);
     TNMINE_COUNTER_ADD("fsg/feasible_pruned_by_join", pruned_by_join);
     TNMINE_COUNTER_ADD("fsg/candidates_generated", candidates.size());

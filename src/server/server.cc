@@ -68,53 +68,61 @@ std::string HexFingerprint(std::uint64_t fingerprint) {
 struct ParamSpec {
   const char* name;
   std::int64_t default_int;
-  const char* default_string;  // nullptr = integer knob
+  /// A string knob's accepted values, its default first; empty for
+  /// numeric knobs.
+  std::span<const char* const> choices;
   double default_double;
   bool is_double;
 };
 
+// The choice values tnmine_cli accepts for the same flags.
+constexpr const char* kAttributes[] = {"weight", "hours", "distance"};
+constexpr const char* kStrategies[] = {"bf", "df"};
+constexpr const char* kMiners[] = {"fsg", "gspan"};
+
 constexpr ParamSpec kStructuralParams[] = {
-    {"attribute", 0, "weight", 0, false},
-    {"strategy", 0, "bf", 0, false},
-    {"miner", 0, "fsg", 0, false},
-    {"k", 40, nullptr, 0, false},
-    {"support", 10, nullptr, 0, false},
-    {"max_edges", 3, nullptr, 0, false},
-    {"reps", 1, nullptr, 0, false},
-    {"seed", 1, nullptr, 0, false},
-    {"threads", 0, nullptr, 0, false},
-    {"top", 5, nullptr, 0, false},
-    {"deadline_ms", 0, nullptr, 0, false},
-    {"max_work_ticks", 0, nullptr, 0, false},
-    {"max_memory_mb", 0, nullptr, 0, false},
+    {"attribute", 0, kAttributes, 0, false},
+    {"strategy", 0, kStrategies, 0, false},
+    {"miner", 0, kMiners, 0, false},
+    {"k", 40, {}, 0, false},
+    {"support", 10, {}, 0, false},
+    {"max_edges", 3, {}, 0, false},
+    {"reps", 1, {}, 0, false},
+    {"seed", 1, {}, 0, false},
+    {"threads", 0, {}, 0, false},
+    {"top", 5, {}, 0, false},
+    {"deadline_ms", 0, {}, 0, false},
+    {"max_work_ticks", 0, {}, 0, false},
+    {"max_memory_mb", 0, {}, 0, false},
 };
 
 constexpr ParamSpec kShardMiningParams[] = {
-    {"miner", 0, "fsg", 0, false},
-    {"support", 2, nullptr, 0, false},
-    {"max_edges", 3, nullptr, 0, false},
-    {"threads", 0, nullptr, 0, false},
-    {"top", 5, nullptr, 0, false},
-    {"max_resident_shards", 2, nullptr, 0, false},
-    {"deadline_ms", 0, nullptr, 0, false},
-    {"max_work_ticks", 0, nullptr, 0, false},
-    {"max_memory_mb", 0, nullptr, 0, false},
+    {"miner", 0, kMiners, 0, false},
+    {"support", 2, {}, 0, false},
+    {"max_edges", 3, {}, 0, false},
+    {"threads", 0, {}, 0, false},
+    {"top", 5, {}, 0, false},
+    {"max_resident_shards", 2, {}, 0, false},
+    {"deadline_ms", 0, {}, 0, false},
+    {"max_work_ticks", 0, {}, 0, false},
+    {"max_memory_mb", 0, {}, 0, false},
 };
 
 constexpr ParamSpec kTemporalParams[] = {
-    {"support_fraction", 0, nullptr, 0.05, true},
-    {"max_edges", 3, nullptr, 0, false},
-    {"max_labels", 0, nullptr, 0, false},
-    {"threads", 0, nullptr, 0, false},
-    {"top", 5, nullptr, 0, false},
-    {"deadline_ms", 0, nullptr, 0, false},
-    {"max_work_ticks", 0, nullptr, 0, false},
-    {"max_memory_mb", 0, nullptr, 0, false},
+    {"support_fraction", 0, {}, 0.05, true},
+    {"max_edges", 3, {}, 0, false},
+    {"max_labels", 0, {}, 0, false},
+    {"threads", 0, {}, 0, false},
+    {"top", 5, {}, 0, false},
+    {"deadline_ms", 0, {}, 0, false},
+    {"max_work_ticks", 0, {}, 0, false},
+    {"max_memory_mb", 0, {}, 0, false},
 };
 
 /// Resolves request params against a schema into the canonical params
-/// object. Unknown keys and wrong types are errors (a typoed knob must
-/// not silently become a distinct cache key for the default config).
+/// object. Unknown keys, wrong types and unknown choice values are errors
+/// (a typoed knob or value must not silently mine the default config
+/// under a distinct cache key).
 bool CanonicalizeParams(const JsonValue& given,
                         std::span<const ParamSpec> schema,
                         JsonValue* canonical, std::string* error) {
@@ -125,12 +133,22 @@ bool CanonicalizeParams(const JsonValue& given,
   }
   for (const ParamSpec& spec : schema) {
     const JsonValue& v = given.Get(spec.name);
-    if (spec.default_string != nullptr) {
+    if (!spec.choices.empty()) {
       if (!v.is_null() && !v.is_string()) {
         *error = std::string("param '") + spec.name + "' must be a string";
         return false;
       }
-      canonical->Set(spec.name, v.AsString(spec.default_string));
+      const std::string value = v.AsString(spec.choices[0]);
+      if (std::find(spec.choices.begin(), spec.choices.end(), value) ==
+          spec.choices.end()) {
+        *error = std::string("param '") + spec.name + "' must be one of: ";
+        for (const char* choice : spec.choices) {
+          if (choice != spec.choices[0]) *error += ", ";
+          *error += choice;
+        }
+        return false;
+      }
+      canonical->Set(spec.name, value);
     } else if (spec.is_double) {
       if (!v.is_null() && !v.is_number()) {
         *error = std::string("param '") + spec.name + "' must be a number";

@@ -4,13 +4,16 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <map>
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "graph/algorithms.h"
+#include "gspan/gspan.h"
 #include "iso/canonical.h"
 #include "iso/vf2.h"
 
@@ -306,6 +309,59 @@ TEST(FsgTest, WedgeHubWithParallelEdgesToOneNeighbour) {
   const FsgResult r = MineWedges(txns);
   EXPECT_EQ(TidsOf(r, Multigraph(3, {{0, 1, 5}, {0, 2, 5}})), Tids{0});
   EXPECT_EQ(TidsOf(r, Multigraph(2, {{0, 1, 5}, {0, 1, 5}})), (Tids{0, 1}));
+}
+
+// Wedge check at levels 3 and 4: an extension is skipped when a wedge
+// its new edge forms with a parent edge is not a frequent 2-edge pattern,
+// so the check must give each such wedge its true roles. Every 3- and
+// 4-edge pattern below is reachable only by adding an edge parallel to a
+// parent edge, antiparallel to one, or a self-loop beside a parent
+// self-loop, and the wedge with the other role is absent from the data.
+// gSpan, which has no such check, is the oracle.
+
+/// Canonical code -> (support, TID list) of every mined pattern.
+using ByCodeMap = std::map<std::string, std::pair<std::size_t, Tids>>;
+
+ByCodeMap ByCode(const std::vector<pattern::FrequentPattern>& patterns) {
+  ByCodeMap by_code;
+  for (const auto& p : patterns) {
+    by_code.emplace(p.code, std::make_pair(p.support, p.tids.ToVector()));
+  }
+  return by_code;
+}
+
+TEST(FsgTest, WedgeCheckRolesMatchGspan) {
+  const std::vector<LabeledGraph> txns = {
+      // Parallel edges.
+      Multigraph(2, {{0, 1, 1}, {0, 1, 1}, {0, 1, 1}, {0, 1, 1}}),
+      Multigraph(2, {{0, 1, 1}, {0, 1, 1}, {0, 1, 1}, {0, 1, 1}}),
+      Multigraph(2, {{0, 1, 1}, {0, 1, 1}, {0, 1, 1}}),
+      // Edges both ways: labels 5 and 7 run 0 -> 1, labels 6 and 8 back.
+      Multigraph(2, {{0, 1, 5}, {1, 0, 6}, {0, 1, 7}, {1, 0, 8}}),
+      Multigraph(2, {{0, 1, 5}, {1, 0, 6}, {0, 1, 7}, {1, 0, 8}}),
+      Multigraph(2, {{0, 1, 5}, {1, 0, 6}, {0, 1, 7}}),
+      // Self-loops.
+      Multigraph(1, {{0, 0, 2}, {0, 0, 2}, {0, 0, 3}, {0, 0, 4}}),
+      Multigraph(1, {{0, 0, 2}, {0, 0, 2}, {0, 0, 3}, {0, 0, 4}}),
+      Multigraph(1, {{0, 0, 2}, {0, 0, 3}, {0, 0, 4}}),
+  };
+  FsgOptions options;
+  options.min_support = 2;
+  options.max_edges = 4;
+  const FsgResult fsg = MineFsg(txns, options);
+  gspan::GspanOptions gspan_options;
+  gspan_options.min_support = 2;
+  gspan_options.max_edges = 4;
+  EXPECT_EQ(ByCode(fsg.patterns),
+            ByCode(gspan::MineGspan(txns, gspan_options).patterns));
+
+  // Each transaction graph is itself a frequent 3- or 4-edge pattern.
+  EXPECT_EQ(TidsOf(fsg, txns[0]), (Tids{0, 1}));
+  EXPECT_EQ(TidsOf(fsg, txns[2]), (Tids{0, 1, 2}));
+  EXPECT_EQ(TidsOf(fsg, txns[3]), (Tids{3, 4}));
+  EXPECT_EQ(TidsOf(fsg, txns[5]), (Tids{3, 4, 5}));
+  EXPECT_EQ(TidsOf(fsg, txns[6]), (Tids{6, 7}));
+  EXPECT_EQ(TidsOf(fsg, txns[8]), (Tids{6, 7, 8}));
 }
 
 TEST(FsgTest, SelfLoopPatterns) {

@@ -13,8 +13,10 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -23,6 +25,8 @@
 
 #include "common/failpoint.h"
 #include "data/generator.h"
+#include "graph/labeled_graph.h"
+#include "graph/shard_store.h"
 #include "server/json.h"
 #include "server/wire.h"
 
@@ -283,6 +287,53 @@ TEST_F(ServerTest, BadParamsAreRejectedNotMined) {
       *server, Request("structural", {{"support", JsonValue("ten")}}));
   EXPECT_FALSE(wrong_type.Get("ok").AsBool());
   EXPECT_EQ(wrong_type.Get("code").AsString(), "bad_request");
+}
+
+TEST_F(ServerTest, UnknownChoiceValuesAreRejectedNotMined) {
+  const auto server = StartServer(BaseOptions());
+  // (param, the values it accepts)
+  const std::pair<std::string, std::string> cases[] = {
+      {"attribute", "weight, hours, distance"},
+      {"strategy", "bf, df"},
+      {"miner", "fsg, gspan"},
+  };
+  for (const auto& [param, choices] : cases) {
+    const JsonValue response =
+        Call(*server, Request("structural", {{param, JsonValue("hour")}}));
+    EXPECT_FALSE(response.Get("ok").AsBool()) << param;
+    EXPECT_EQ(response.Get("code").AsString(), "bad_request") << param;
+    EXPECT_EQ(response.Get("error").AsString(),
+              "param '" + param + "' must be one of: " + choices);
+  }
+  EXPECT_EQ(server->cache().misses(), 0u);
+}
+
+TEST_F(ServerTest, MineShardsRejectsAnUnknownMiner) {
+  const std::string dir = ::testing::TempDir() + "/server_test_shards";
+  ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
+  graph::ShardWriter writer(dir + "/" + graph::ShardFileName(0));
+  for (int i = 0; i < 4; ++i) {
+    graph::LabeledGraph g;
+    g.AddEdge(g.AddVertex(1), g.AddVertex(2), 3);
+    writer.Add(g);
+  }
+  std::string error;
+  ASSERT_TRUE(writer.Finish(&error)) << error;
+  const auto server = StartServer(BaseOptions());
+  ASSERT_TRUE(server->LoadShards(dir, &error)) << error;
+
+  const JsonValue unknown =
+      Call(*server, Request("mine_shards", {{"miner", JsonValue("subdue")}}));
+  EXPECT_FALSE(unknown.Get("ok").AsBool());
+  EXPECT_EQ(unknown.Get("code").AsString(), "bad_request");
+  EXPECT_EQ(unknown.Get("error").AsString(),
+            "param 'miner' must be one of: fsg, gspan");
+  EXPECT_EQ(server->cache().misses(), 0u);
+
+  const JsonValue gspan =
+      Call(*server, Request("mine_shards", {{"miner", JsonValue("gspan")}}));
+  ASSERT_TRUE(gspan.Get("ok").AsBool());
+  EXPECT_EQ(gspan.Get("result").Get("num_patterns").AsInt(), 1);
 }
 
 TEST_F(ServerTest, NoSnapshotIsAnHonestError) {
