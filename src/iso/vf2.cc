@@ -47,12 +47,6 @@ SubgraphMatcher::SubgraphMatcher(const LabeledGraph& pattern)
   BuildPlan();
 }
 
-SubgraphMatcher::SubgraphMatcher(const LabeledGraph& pattern,
-                                 const LabeledGraph& target)
-    : SubgraphMatcher(pattern) {
-  default_target_ = std::make_unique<GraphView>(target);
-}
-
 void SubgraphMatcher::BuildPlan() {
   // Placement order: BFS from the highest-degree vertex of each component,
   // so every non-root vertex is anchored to an already-placed neighbor and
@@ -427,46 +421,22 @@ std::uint64_t SubgraphMatcher::CountEmbeddings(const GraphView& target,
   });
 }
 
-std::uint64_t SubgraphMatcher::ForEachEmbedding(
-    const MatchOptions& options,
-    const std::function<bool(const Embedding&)>& fn) {
-  TNMINE_CHECK_MSG(default_target_ != nullptr,
-                   "no default target; pass a GraphView");
-  return ForEachEmbedding(*default_target_, options, fn);
-}
-
-bool SubgraphMatcher::Contains(const MatchOptions& options) {
-  TNMINE_CHECK_MSG(default_target_ != nullptr,
-                   "no default target; pass a GraphView");
-  return Contains(*default_target_, options);
-}
-
-std::uint64_t SubgraphMatcher::CountEmbeddings(std::uint64_t limit,
-                                               const MatchOptions& options) {
-  TNMINE_CHECK_MSG(default_target_ != nullptr,
-                   "no default target; pass a GraphView");
-  return CountEmbeddings(*default_target_, limit, options);
-}
-
 bool ContainsSubgraph(const LabeledGraph& pattern,
                       const LabeledGraph& target) {
-  SubgraphMatcher matcher(pattern, target);
-  return matcher.Contains();
+  return SubgraphMatcher(pattern).Contains(GraphView(target));
 }
 
 std::uint64_t CountEmbeddings(const LabeledGraph& pattern,
                               const LabeledGraph& target,
                               std::uint64_t limit) {
-  SubgraphMatcher matcher(pattern, target);
-  return matcher.CountEmbeddings(limit);
+  return SubgraphMatcher(pattern).CountEmbeddings(GraphView(target), limit);
 }
 
 bool ContainsInducedSubgraph(const LabeledGraph& pattern,
                              const LabeledGraph& target) {
-  SubgraphMatcher matcher(pattern, target);
   MatchOptions options;
   options.induced = true;
-  return matcher.Contains(options);
+  return SubgraphMatcher(pattern).Contains(GraphView(target), options);
 }
 
 }  // namespace tnmine::iso

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "graph/graph_view.h"
@@ -64,11 +63,6 @@ class SubgraphMatcher {
   /// outlive the matcher.
   explicit SubgraphMatcher(const graph::LabeledGraph& pattern);
 
-  /// Legacy convenience: also snapshots `target` as the default target
-  /// for the target-less call overloads below.
-  SubgraphMatcher(const graph::LabeledGraph& pattern,
-                  const graph::LabeledGraph& target);
-
   /// Invokes `fn` for each embedding of the pattern in `target`; `fn`
   /// returns false to stop the enumeration. Returns the number of
   /// embeddings visited.
@@ -84,14 +78,6 @@ class SubgraphMatcher {
   /// nonzero.
   std::uint64_t CountEmbeddings(const graph::GraphView& target,
                                 std::uint64_t limit = 0,
-                                const MatchOptions& options = {});
-
-  /// Default-target overloads (require the two-argument constructor).
-  std::uint64_t ForEachEmbedding(
-      const MatchOptions& options,
-      const std::function<bool(const Embedding&)>& fn);
-  bool Contains(const MatchOptions& options = {});
-  std::uint64_t CountEmbeddings(std::uint64_t limit = 0,
                                 const MatchOptions& options = {});
 
  private:
@@ -142,7 +128,6 @@ class SubgraphMatcher {
   bool EmitCurrentEmbedding();
 
   const graph::LabeledGraph& pattern_;
-  std::unique_ptr<graph::GraphView> default_target_;
 
   // --- Search plan (pattern-only, built once). ---
   std::vector<graph::VertexId> order_;  // placement order

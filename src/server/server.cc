@@ -8,23 +8,20 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <fstream>
-#include <span>
 #include <utility>
 
 #include "common/failpoint.h"
 #include "common/telemetry.h"
 #include "core/interestingness.h"
 #include "core/miner.h"
-#include "fsg/fsg.h"
 #include "graph/transaction_source.h"
-#include "gspan/gspan.h"
 #include "pattern/render.h"
+#include "server/request.h"
 
 namespace tnmine::server {
 
@@ -59,152 +56,6 @@ std::string HexFingerprint(std::uint64_t fingerprint) {
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(fingerprint));
   return hex;
-}
-
-/// Declares one knob of a mining-params schema: every request param is
-/// resolved against these (defaults filled in), so two requests that
-/// spell the same effective configuration differently still map to the
-/// same canonical params object — and therefore the same cache key.
-struct ParamSpec {
-  const char* name;
-  std::int64_t default_int;
-  /// A string knob's accepted values, its default first; empty for
-  /// numeric knobs.
-  std::span<const char* const> choices;
-  double default_double;
-  bool is_double;
-};
-
-// The choice values tnmine_cli accepts for the same flags.
-constexpr const char* kAttributes[] = {"weight", "hours", "distance"};
-constexpr const char* kStrategies[] = {"bf", "df"};
-constexpr const char* kMiners[] = {"fsg", "gspan"};
-
-constexpr ParamSpec kStructuralParams[] = {
-    {"attribute", 0, kAttributes, 0, false},
-    {"strategy", 0, kStrategies, 0, false},
-    {"miner", 0, kMiners, 0, false},
-    {"k", 40, {}, 0, false},
-    {"support", 10, {}, 0, false},
-    {"max_edges", 3, {}, 0, false},
-    {"reps", 1, {}, 0, false},
-    {"seed", 1, {}, 0, false},
-    {"threads", 0, {}, 0, false},
-    {"top", 5, {}, 0, false},
-    {"deadline_ms", 0, {}, 0, false},
-    {"max_work_ticks", 0, {}, 0, false},
-    {"max_memory_mb", 0, {}, 0, false},
-};
-
-constexpr ParamSpec kShardMiningParams[] = {
-    {"miner", 0, kMiners, 0, false},
-    {"support", 2, {}, 0, false},
-    {"max_edges", 3, {}, 0, false},
-    {"threads", 0, {}, 0, false},
-    {"top", 5, {}, 0, false},
-    {"max_resident_shards", 2, {}, 0, false},
-    {"deadline_ms", 0, {}, 0, false},
-    {"max_work_ticks", 0, {}, 0, false},
-    {"max_memory_mb", 0, {}, 0, false},
-};
-
-constexpr ParamSpec kTemporalParams[] = {
-    {"support_fraction", 0, {}, 0.05, true},
-    {"max_edges", 3, {}, 0, false},
-    {"max_labels", 0, {}, 0, false},
-    {"threads", 0, {}, 0, false},
-    {"top", 5, {}, 0, false},
-    {"deadline_ms", 0, {}, 0, false},
-    {"max_work_ticks", 0, {}, 0, false},
-    {"max_memory_mb", 0, {}, 0, false},
-};
-
-/// Resolves request params against a schema into the canonical params
-/// object. Unknown keys, wrong types and unknown choice values are errors
-/// (a typoed knob or value must not silently mine the default config
-/// under a distinct cache key).
-bool CanonicalizeParams(const JsonValue& given,
-                        std::span<const ParamSpec> schema,
-                        JsonValue* canonical, std::string* error) {
-  *canonical = JsonValue::MakeObject();
-  if (!given.is_null() && !given.is_object()) {
-    *error = "params must be an object";
-    return false;
-  }
-  for (const ParamSpec& spec : schema) {
-    const JsonValue& v = given.Get(spec.name);
-    if (!spec.choices.empty()) {
-      if (!v.is_null() && !v.is_string()) {
-        *error = std::string("param '") + spec.name + "' must be a string";
-        return false;
-      }
-      const std::string value = v.AsString(spec.choices[0]);
-      if (std::find(spec.choices.begin(), spec.choices.end(), value) ==
-          spec.choices.end()) {
-        *error = std::string("param '") + spec.name + "' must be one of: ";
-        for (const char* choice : spec.choices) {
-          if (choice != spec.choices[0]) *error += ", ";
-          *error += choice;
-        }
-        return false;
-      }
-      canonical->Set(spec.name, value);
-    } else if (spec.is_double) {
-      if (!v.is_null() && !v.is_number()) {
-        *error = std::string("param '") + spec.name + "' must be a number";
-        return false;
-      }
-      canonical->Set(spec.name,
-                     v.is_null() ? spec.default_double : v.AsDouble());
-    } else {
-      if (!v.is_null() && v.kind() != JsonValue::Kind::kInt) {
-        *error =
-            std::string("param '") + spec.name + "' must be an integer";
-        return false;
-      }
-      canonical->Set(spec.name,
-                     v.is_null() ? spec.default_int : v.AsInt());
-    }
-  }
-  if (given.is_object()) {
-    for (const auto& [key, unused] : given.object()) {
-      bool known = false;
-      for (const ParamSpec& spec : schema) {
-        if (key == spec.name) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) {
-        *error = "unknown param '" + key + "'";
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-/// Budget for one request: request knobs first, the server's default
-/// ceilings on any dimension the request leaves unlimited.
-common::ResourceBudget BudgetFor(
-    const JsonValue& params, const common::BudgetLimits& defaults,
-    const std::shared_ptr<common::CancelToken>& token) {
-  common::BudgetLimits limits;
-  limits.deadline_ms =
-      static_cast<std::uint64_t>(params.Get("deadline_ms").AsInt());
-  limits.max_work_ticks =
-      static_cast<std::uint64_t>(params.Get("max_work_ticks").AsInt());
-  limits.max_memory_bytes =
-      static_cast<std::uint64_t>(params.Get("max_memory_mb").AsInt())
-      << 20;
-  if (limits.deadline_ms == 0) limits.deadline_ms = defaults.deadline_ms;
-  if (limits.max_work_ticks == 0) {
-    limits.max_work_ticks = defaults.max_work_ticks;
-  }
-  if (limits.max_memory_bytes == 0) {
-    limits.max_memory_bytes = defaults.max_memory_bytes;
-  }
-  return common::ResourceBudget(limits, token);
 }
 
 JsonValue RenderPatterns(
@@ -361,11 +212,12 @@ bool Server::LoadSnapshot(const std::string& path, std::string* error) {
   if (!data::TransactionDataset::LoadCsv(path, &snap->dataset, error)) {
     return false;
   }
-  snap->od_weight = data::BuildOdGw(snap->dataset);
-  snap->od_hours = data::BuildOdTh(snap->dataset);
-  snap->od_distance = data::BuildOdTd(snap->dataset);
-  snap->view =
-      std::make_shared<const graph::GraphView>(snap->od_weight.graph);
+  for (const char* attribute : OdAttributes()) {
+    snap->od_graphs.emplace(attribute,
+                            BuildOdGraph(snap->dataset, attribute));
+  }
+  snap->view = std::make_shared<const graph::GraphView>(
+      snap->od_graphs.at(OdAttributes()[0]).graph);
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     snap->version = next_snapshot_version_++;
@@ -852,11 +704,7 @@ JsonValue Server::HandleMining(const std::string& op,
   }
   JsonValue params;
   std::string error;
-  const std::span<const ParamSpec> schema =
-      op == "structural" ? std::span<const ParamSpec>(kStructuralParams)
-      : over_shards      ? std::span<const ParamSpec>(kShardMiningParams)
-                         : std::span<const ParamSpec>(kTemporalParams);
-  if (!CanonicalizeParams(request.Get("params"), schema, &params,
+  if (!CanonicalizeParams(request.Get("params"), ParamSchema(op), &params,
                           &error)) {
     return ErrorResponse(op, "bad_request", error);
   }
@@ -925,37 +773,11 @@ std::string Server::MineResult(const std::string& op,
   JsonValue result = JsonValue::MakeObject();
   const std::size_t top =
       static_cast<std::size_t>(params.Get("top").AsInt());
-  const common::Parallelism parallelism =
-      params.Get("threads").AsInt() > 0
-          ? common::Parallelism{static_cast<std::size_t>(
-                params.Get("threads").AsInt())}
-          : options_.parallelism;
   if (op == "structural") {
-    const std::string attribute = params.Get("attribute").AsString();
-    const data::OdGraph& od = attribute == "hours" ? snap.od_hours
-                              : attribute == "distance"
-                                  ? snap.od_distance
-                                  : snap.od_weight;
-    core::StructuralMiningOptions options;
-    options.strategy = params.Get("strategy").AsString() == "df"
-                           ? partition::SplitStrategy::kDepthFirst
-                           : partition::SplitStrategy::kBreadthFirst;
-    options.num_partitions =
-        static_cast<std::size_t>(params.Get("k").AsInt());
-    options.min_support =
-        static_cast<std::size_t>(params.Get("support").AsInt());
-    options.max_pattern_edges =
-        static_cast<std::size_t>(params.Get("max_edges").AsInt());
-    options.repetitions =
-        static_cast<std::size_t>(params.Get("reps").AsInt());
-    options.miner = params.Get("miner").AsString() == "gspan"
-                        ? core::MinerKind::kGspan
-                        : core::MinerKind::kFsg;
-    options.seed = static_cast<std::uint64_t>(params.Get("seed").AsInt());
-    options.parallelism = parallelism;
-    options.budget = budget;
-    const core::StructuralMiningResult mined =
-        core::MineStructuralPatterns(od.graph, options);
+    const data::OdGraph& od =
+        snap.od_graphs.at(params.Get("attribute").AsString());
+    const core::StructuralMiningResult mined = core::MineStructuralPatterns(
+        od.graph, StructuralOptions(params, options_.parallelism, budget));
     *outcome_label = common::ToString(mined.outcome);
     common::RecordOutcome("server", mined.outcome);
     result.Set("outcome", *outcome_label);
@@ -970,17 +792,8 @@ std::string Server::MineResult(const std::string& op,
                RenderPatterns(core::RankPatterns(mined.registry), top,
                               &od.discretizer));
   } else {
-    core::TemporalMiningOptions options;
-    options.min_support_fraction =
-        params.Get("support_fraction").AsDouble();
-    options.max_pattern_edges =
-        static_cast<std::size_t>(params.Get("max_edges").AsInt());
-    options.partition.max_distinct_vertex_labels =
-        static_cast<std::size_t>(params.Get("max_labels").AsInt());
-    options.parallelism = parallelism;
-    options.budget = budget;
-    const core::TemporalMiningResult mined =
-        core::MineTemporalPatterns(snap.dataset, options);
+    const core::TemporalMiningResult mined = core::MineTemporalPatterns(
+        snap.dataset, TemporalOptions(params, options_.parallelism, budget));
     *outcome_label = common::ToString(mined.outcome);
     common::RecordOutcome("server", mined.outcome);
     result.Set("outcome", *outcome_label);
@@ -999,15 +812,9 @@ std::string Server::MineShardsResult(const JsonValue& params,
                                      const ShardSet& shards,
                                      const common::ResourceBudget& budget,
                                      std::string* outcome_label) {
-  graph::ShardedTransactionSource::Options source_options;
-  std::int64_t resident = params.Get("max_resident_shards").AsInt();
-  if (resident < 1) resident = 1;
-  source_options.max_resident_shards =
-      static_cast<std::size_t>(resident);
-  source_options.budget = budget;
   std::string error;
   const auto source = graph::ShardedTransactionSource::Open(
-      shards.dir, source_options, &error);
+      shards.dir, ShardSourceOptions(params, budget), &error);
   if (source == nullptr) {
     throw std::runtime_error("cannot open shard dir " + shards.dir +
                              ": " + error);
@@ -1018,59 +825,19 @@ std::string Server::MineShardsResult(const JsonValue& params,
         " changed since load_shards; re-issue load_shards");
   }
 
-  const common::Parallelism parallelism =
-      params.Get("threads").AsInt() > 0
-          ? common::Parallelism{static_cast<std::size_t>(
-                params.Get("threads").AsInt())}
-          : options_.parallelism;
+  const TransactionMiningResult mined =
+      MineTransactions(*source, params, options_.parallelism, budget);
+  *outcome_label = common::ToString(mined.outcome);
+  common::RecordOutcome("server", mined.outcome);
   JsonValue result = JsonValue::MakeObject();
   result.Set("transactions", source->num_transactions());
   result.Set("shards", source->num_shards());
-  std::vector<pattern::FrequentPattern> patterns;
-  if (params.Get("miner").AsString() == "gspan") {
-    gspan::GspanOptions options;
-    options.min_support =
-        static_cast<std::size_t>(params.Get("support").AsInt());
-    options.max_edges =
-        static_cast<std::size_t>(params.Get("max_edges").AsInt());
-    options.parallelism = parallelism;
-    options.budget = budget;
-    gspan::GspanResult mined = gspan::MineGspan(*source, options);
-    *outcome_label = common::ToString(mined.outcome);
-    common::RecordOutcome("server", mined.outcome);
-    result.Set("work_ticks", mined.work_ticks);
-    patterns = std::move(mined.patterns);
-  } else {
-    fsg::FsgOptions options;
-    options.min_support =
-        static_cast<std::size_t>(params.Get("support").AsInt());
-    options.max_edges =
-        static_cast<std::size_t>(params.Get("max_edges").AsInt());
-    options.parallelism = parallelism;
-    options.budget = budget;
-    fsg::FsgResult mined = fsg::MineFsg(*source, options);
-    *outcome_label = common::ToString(mined.outcome);
-    common::RecordOutcome("server", mined.outcome);
-    result.Set("work_ticks", mined.work_ticks);
-    patterns = std::move(mined.patterns);
-  }
+  result.Set("work_ticks", mined.work_ticks);
   result.Set("outcome", *outcome_label);
-  result.Set("num_patterns", patterns.size());
-  // Rank by support descending; ties keep the miner's deterministic
-  // enumeration order so responses (and cache payloads) are stable.
-  std::vector<const pattern::FrequentPattern*> ranked;
-  ranked.reserve(patterns.size());
-  for (const pattern::FrequentPattern& p : patterns) {
-    ranked.push_back(&p);
-  }
-  std::stable_sort(ranked.begin(), ranked.end(),
-                   [](const pattern::FrequentPattern* a,
-                      const pattern::FrequentPattern* b) {
-                     return a->support > b->support;
-                   });
+  result.Set("num_patterns", mined.patterns.size());
   result.Set("patterns",
              RenderPatterns(
-                 ranked,
+                 RankBySupport(mined.patterns),
                  static_cast<std::size_t>(params.Get("top").AsInt()),
                  nullptr));
   return result.Serialize();

@@ -35,10 +35,9 @@ struct Snapshot {
   std::string fingerprint;
   std::string path;
   data::TransactionDataset dataset;
-  data::OdGraph od_weight;
-  data::OdGraph od_hours;
-  data::OdGraph od_distance;
-  std::shared_ptr<const graph::GraphView> view;  ///< of od_weight.graph
+  /// By `attribute` (server::OdAttributes).
+  std::map<std::string, data::OdGraph> od_graphs;
+  std::shared_ptr<const graph::GraphView> view;  ///< of the default's graph
 };
 
 /// One registered out-of-core shard directory (DESIGN.md §16): validated

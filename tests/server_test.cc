@@ -308,6 +308,39 @@ TEST_F(ServerTest, UnknownChoiceValuesAreRejectedNotMined) {
   EXPECT_EQ(server->cache().misses(), 0u);
 }
 
+TEST_F(ServerTest, OutOfRangeParamsAreRejectedNotMined) {
+  const auto server = StartServer(BaseOptions());
+  const struct {
+    const char* op;
+    const char* param;
+    JsonValue value;
+    const char* error;
+  } cases[] = {
+      {"structural", "reps", JsonValue(0), "param 'reps' must be at least 1"},
+      {"structural", "reps", JsonValue(-1),
+       "param 'reps' must be at least 1"},
+      {"structural", "k", JsonValue(0), "param 'k' must be at least 1"},
+      {"structural", "support", JsonValue(-3),
+       "param 'support' must be at least 0"},
+      {"structural", "max_memory_mb", JsonValue(-1),
+       "param 'max_memory_mb' must be at least 0"},
+      {"temporal", "support_fraction", JsonValue(-1),
+       "param 'support_fraction' must be in [0, 1]"},
+      {"temporal", "support_fraction", JsonValue(1.5),
+       "param 'support_fraction' must be in [0, 1]"},
+      {"temporal", "max_labels", JsonValue(-1),
+       "param 'max_labels' must be at least 0"},
+  };
+  for (const auto& c : cases) {
+    const JsonValue response =
+        Call(*server, Request(c.op, {{c.param, c.value}}));
+    EXPECT_FALSE(response.Get("ok").AsBool()) << c.param;
+    EXPECT_EQ(response.Get("code").AsString(), "bad_request") << c.param;
+    EXPECT_EQ(response.Get("error").AsString(), c.error);
+  }
+  EXPECT_EQ(server->cache().misses(), 0u);
+}
+
 TEST_F(ServerTest, MineShardsRejectsAnUnknownMiner) {
   const std::string dir = ::testing::TempDir() + "/server_test_shards";
   ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);

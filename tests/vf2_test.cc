@@ -11,11 +11,13 @@
 #include <vector>
 
 #include "common/random.h"
+#include "graph/graph_view.h"
 
 namespace tnmine::iso {
 namespace {
 
 using graph::EdgeId;
+using graph::GraphView;
 using graph::Label;
 using graph::LabeledGraph;
 using graph::VertexId;
@@ -209,12 +211,13 @@ TEST(Vf2Test, ForbiddenVerticesBlockEmbeddings) {
   const VertexId z = target.AddVertex(0);
   target.AddEdge(x, y, 1);
   target.AddEdge(y, z, 1);
-  SubgraphMatcher matcher(pattern, target);
+  SubgraphMatcher matcher(pattern);
+  const GraphView view(target);
   MatchOptions options;
   std::vector<char> forbidden(target.num_vertices(), 0);
   forbidden[y] = 1;
   options.forbidden_target_vertices = &forbidden;
-  EXPECT_FALSE(matcher.Contains(options));
+  EXPECT_FALSE(matcher.Contains(view, options));
 }
 
 TEST(Vf2Test, ForbiddenEdgesBlockEmbeddings) {
@@ -226,12 +229,13 @@ TEST(Vf2Test, ForbiddenEdgesBlockEmbeddings) {
   const VertexId x = target.AddVertex(0);
   const VertexId y = target.AddVertex(0);
   const EdgeId only = target.AddEdge(x, y, 1);
-  SubgraphMatcher matcher(pattern, target);
+  SubgraphMatcher matcher(pattern);
+  const GraphView view(target);
   MatchOptions options;
   std::vector<char> forbidden(target.edge_capacity(), 0);
   forbidden[only] = 1;
   options.forbidden_target_edges = &forbidden;
-  EXPECT_FALSE(matcher.Contains(options));
+  EXPECT_FALSE(matcher.Contains(view, options));
 }
 
 TEST(Vf2Test, EmbeddingMapsAreConsistent) {
@@ -240,9 +244,10 @@ TEST(Vf2Test, EmbeddingMapsAreConsistent) {
   std::vector<VertexId> vs;
   for (int i = 0; i < 6; ++i) vs.push_back(target.AddVertex(5));
   for (int i = 0; i + 1 < 6; ++i) target.AddEdge(vs[i], vs[i + 1], 9);
-  SubgraphMatcher matcher(pattern, target);
+  SubgraphMatcher matcher(pattern);
+  const GraphView view(target);
   std::size_t checked = 0;
-  matcher.ForEachEmbedding({}, [&](const Embedding& emb) {
+  matcher.ForEachEmbedding(view, {}, [&](const Embedding& emb) {
     ++checked;
     std::set<EdgeId> used_edges;
     pattern.ForEachEdge([&](EdgeId pe) {
@@ -287,10 +292,11 @@ TEST(Vf2Test, SearchStepBudgetAborts) {
       if (i != j) target.AddEdge(vs[i], vs[j], 0);
     }
   }
-  SubgraphMatcher matcher(pattern, target);
+  SubgraphMatcher matcher(pattern);
+  const GraphView view(target);
   MatchOptions options;
   options.max_search_steps = 1;
-  EXPECT_EQ(matcher.CountEmbeddings(0, options), 0u);
+  EXPECT_EQ(matcher.CountEmbeddings(view, 0, options), 0u);
 }
 
 TEST(Vf2InducedTest, ExtraEdgeBlocksInducedMatch) {

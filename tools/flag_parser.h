@@ -1,19 +1,23 @@
 #ifndef TNMINE_TOOLS_FLAG_PARSER_H_
 #define TNMINE_TOOLS_FLAG_PARSER_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
+
 namespace tnmine::tools {
 
 /// Tiny --key value flag parser shared by the tool binaries
-/// (tnmine_cli, tnmined, wire_chaos). Every flag takes a value; unknown
-/// positional arguments are an error. A flag may be repeated
-/// (--failpoint a:io --failpoint b:io): Get/GetInt/GetDouble return the
-/// LAST occurrence, GetAll returns every occurrence in order.
+/// (tnmine_cli, tnmined, tnshard, wire_chaos, bench_outofcore). Every
+/// flag takes a value; unknown positional arguments are an error. A flag
+/// may be repeated (--failpoint a:io --failpoint b:io): Get/GetInt/
+/// GetDouble return the LAST occurrence, GetAll returns every occurrence
+/// in order.
 class Flags {
  public:
   Flags(int argc, char** argv, int first) {
@@ -41,15 +45,22 @@ class Flags {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second.back();
   }
+  /// A numeric flag's value, parsed strictly (common/parse.h). A
+  /// malformed value is a usage error: reported, naming the flag, and
+  /// the process exits with status 2.
   long GetInt(const std::string& key, long fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : std::atol(it->second.back().c_str());
+    std::int64_t value = fallback;
+    if (Has(key) && !ParseInt64(Get(key, ""), &value)) {
+      UsageError(key, "an integer");
+    }
+    return value;
   }
   double GetDouble(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : std::atof(it->second.back().c_str());
+    double value = fallback;
+    if (Has(key) && !ParseFiniteDouble(Get(key, ""), &value)) {
+      UsageError(key, "a number");
+    }
+    return value;
   }
   bool Has(const std::string& key) const { return values_.contains(key); }
 
@@ -65,6 +76,13 @@ class Flags {
   }
 
  private:
+  [[noreturn]] void UsageError(const std::string& key,
+                               const char* must_be) const {
+    std::fprintf(stderr, "usage error: --%s '%s' is not %s\n", key.c_str(),
+                 Get(key, "").c_str(), must_be);
+    std::exit(2);
+  }
+
   std::map<std::string, std::vector<std::string>> values_;
   bool ok_ = true;
 };

@@ -9,6 +9,8 @@
 #   * serial warmup of every distinct mining request (deterministic
 #     cache misses), then 32 concurrent mixed requests — cached mining,
 #     pings, stats — that must all hit;
+#   * the CLI, mining the same snapshot locally, reports what the server
+#     answered;
 #   * honest outcome labels: complete results cached, a tick-truncated
 #     request labeled deadline_exceeded and NOT cached;
 #   * a mid-flight client disconnect that cancels its mining without
@@ -89,6 +91,35 @@ client --op temporal --support-fraction 0.05 --threads 2 \
   > "$WORK/warm_temporal.json"
 assert_json "$WORK/warm_temporal.json" \
   'r["ok"] and r["result"]["outcome"] == "complete" and not r.get("cached")'
+
+echo "== the CLI and the server agree on the same snapshot"
+# Against the warmup responses, so the cache counters below stay exact;
+# --threads does not change what is mined.
+"$CLI" structural --data "$WORK/data1.csv" --support 10 --top 3 \
+  > "$WORK/cli_structural.txt"
+"$CLI" temporal --data "$WORK/data1.csv" --support-fraction 0.05 \
+  > "$WORK/cli_temporal.txt"
+python3 - "$WORK" <<'EOF'
+import json, re, sys
+work = sys.argv[1]
+def load(name):
+    with open(f"{work}/{name}") as f:
+        return f.read()
+cli = load("cli_structural.txt")
+server = json.loads(load("warm_10.json"))["result"]
+count = int(re.match(r"(\d+) frequent pattern classes\n", cli).group(1))
+renders = re.split(r"\n#\d+ ", cli)[1:]
+if count != server["num_patterns"] or \
+        renders != [p["render"] for p in server["patterns"]]:
+    sys.exit(f"structural: CLI printed\n{cli}\nserver answered {server}")
+cli = load("cli_temporal.txt")
+server = json.loads(load("warm_temporal.json"))["result"]
+count = int(re.search(r"(\d+) temporally repeated pattern classes", cli)
+            .group(1))
+if count != server["num_patterns"]:
+    sys.exit(f"temporal: CLI printed {count} classes, server "
+             f"{server['num_patterns']}")
+EOF
 
 echo "== 32 concurrent mixed requests (mining must all be cache hits)"
 pids=()

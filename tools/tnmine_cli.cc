@@ -18,7 +18,7 @@
 //                          trace_event JSON (load in chrome://tracing)
 //
 // Resource governance (DESIGN.md §10): the mining subcommands
-// (structural, temporal, subdue) accept
+// (structural, temporal, subdue, mine) accept
 //   --deadline-ms <n>      stop mining after n milliseconds of wall time
 //   --max-memory-mb <n>    cap tracked candidate/embedding memory
 //   --max-work-ticks <n>   deterministic work budget (same tick budget =>
@@ -28,6 +28,13 @@
 // so far, and still flushes --metrics-out / --trace-out. SIGINT (Ctrl-C)
 // cancels cooperatively through the same mechanism instead of killing
 // the process.
+//
+// Usage errors exit 2 before any data loads or connection opens: a
+// malformed number anywhere (--support ten, --support 12x), and on
+// structural, temporal, subdue, mine, export and client's mining ops a
+// value tnmined would reject too (--reps 0, --strategy dfs) or a flag the
+// command does not have (--suport). Those commands' flags are the knobs
+// of the request schema (server/request.h), dashes for underscores.
 //
 // Examples:
 //   tnmine_cli generate --out /tmp/data.csv --scale small --seed 7
@@ -47,14 +54,15 @@
 #include <initializer_list>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/budget.h"
 #include "common/failpoint.h"
 #include "common/telemetry.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/episodes.h"
 #include "core/flow_balance.h"
@@ -62,15 +70,14 @@
 #include "core/miner.h"
 #include "data/generator.h"
 #include "data/od_graph.h"
-#include "fsg/fsg.h"
 #include "graph/graph_io.h"
 #include "graph/transaction_source.h"
-#include "gspan/gspan.h"
 #include "ml/arff.h"
 #include "partition/split_graph.h"
 #include "pattern/dot.h"
 #include "pattern/render.h"
 #include "server/json.h"
+#include "server/request.h"
 #include "server/wire.h"
 #include "subdue/subdue.h"
 #include "tools/flag_parser.h"
@@ -90,21 +97,6 @@ common::CancelToken* g_cancel_raw = nullptr;
 
 extern "C" void HandleSigint(int) {
   if (g_cancel_raw != nullptr) g_cancel_raw->RequestCancel();
-}
-
-/// Builds the run's ResourceBudget from the common governance flags.
-/// With no flags set the budget is inert (unbounded) but still carries
-/// the SIGINT cancel token.
-common::ResourceBudget BudgetFromFlags(const Flags& flags) {
-  common::BudgetLimits limits;
-  limits.deadline_ms =
-      static_cast<std::uint64_t>(flags.GetInt("deadline-ms", 0));
-  limits.max_memory_bytes =
-      static_cast<std::uint64_t>(flags.GetInt("max-memory-mb", 0)) *
-      (1ull << 20);
-  limits.max_work_ticks =
-      static_cast<std::uint64_t>(flags.GetInt("max-work-ticks", 0));
-  return common::ResourceBudget(limits, g_cancel_token);
 }
 
 /// Announces a truncated run. Partial results are valid (patterns shown
@@ -182,71 +174,76 @@ int CmdStats(const Flags& flags) {
   return 0;
 }
 
-/// True when --`flag` is absent or one of `accepted` (the first is the
-/// default). Otherwise prints a usage error listing the accepted values:
-/// the commands check their choice flags before loading any data, so a
-/// typo fails fast instead of silently running the default experiment.
-bool IsAccepted(const Flags& flags, const char* flag,
-                std::initializer_list<const char*> accepted) {
-  if (!flags.Has(flag)) return true;
-  const std::string value = flags.Get(flag, "");
-  std::string list;
-  for (const char* choice : accepted) {
-    if (value == choice) return true;
-    list += list.empty() ? choice : std::string(", ") + choice;
+/// Reads the flags of a command whose knobs are `op`'s request schema
+/// (--max-edges sets max_edges) into params, each checked as tnmined
+/// checks a request. Any other flag must be one of `own` or
+/// --metrics-out / --trace-out: a typoed knob must not silently mine
+/// the default. False after a usage error.
+bool GivenParams(const Flags& flags, std::string_view op,
+                 std::initializer_list<std::string_view> own,
+                 server::JsonValue* params) {
+  const std::span<const server::ParamSpec> schema = server::ParamSchema(op);
+  *params = server::JsonValue::MakeObject();
+  for (const auto& [flag, values] : flags.values()) {
+    const auto spec = std::find_if(
+        schema.begin(), schema.end(), [&](const server::ParamSpec& knob) {
+          std::string spelled = knob.name;
+          std::replace(spelled.begin(), spelled.end(), '_', '-');
+          return flag == spelled;
+        });
+    if (spec == schema.end()) {
+      if (flag == "metrics-out" || flag == "trace-out" ||
+          std::find(own.begin(), own.end(), flag) != own.end()) {
+        continue;
+      }
+      std::fprintf(stderr, "usage error: unknown flag --%s\n", flag.c_str());
+      return false;
+    }
+    server::JsonValue value = server::ParamFromText(*spec, values.back());
+    std::string must_be;
+    if (!server::CheckParam(*spec, value, &must_be)) {
+      std::fprintf(stderr, "usage error: --%s '%s' is not %s\n",
+                   flag.c_str(), values.back().c_str(), must_be.c_str());
+      return false;
+    }
+    params->Set(spec->name, std::move(value));
   }
-  std::fprintf(stderr, "usage error: --%s '%s' is not one of: %s\n", flag,
-               value.c_str(), list.c_str());
-  return false;
+  return true;
 }
 
-/// The --attribute values BuildGraphFor understands.
-bool IsAcceptedAttribute(const Flags& flags) {
-  return IsAccepted(flags, "attribute", {"weight", "hours", "distance"});
-}
-
-data::OdGraph BuildGraphFor(const Flags& flags,
-                            const data::TransactionDataset& dataset) {
-  const std::string attr = flags.Get("attribute", "weight");
-  if (attr == "hours") return data::BuildOdTh(dataset);
-  if (attr == "distance") return data::BuildOdTd(dataset);
-  return data::BuildOdGw(dataset);
+/// GivenParams made canonical: every other knob at its default, and the
+/// listing length at kCliTop.
+bool ReadParams(const Flags& flags, std::string_view op,
+                std::initializer_list<std::string_view> own,
+                server::JsonValue* params) {
+  server::JsonValue given;
+  std::string error;
+  if (!GivenParams(flags, op, own, &given)) return false;
+  if (!server::CanonicalizeParams(given, server::ParamSchema(op), params,
+                                  &error)) {
+    std::fprintf(stderr, "usage error: %s\n", error.c_str());
+    return false;
+  }
+  if (params->Has("top") && !given.Has("top")) {
+    params->Set("top", server::kCliTop);
+  }
+  return true;
 }
 
 int CmdStructural(const Flags& flags) {
-  if (!IsAcceptedAttribute(flags) ||
-      !IsAccepted(flags, "strategy", {"bf", "df"}) ||
-      !IsAccepted(flags, "miner", {"fsg", "gspan"})) {
-    return 2;
-  }
+  server::JsonValue params;
+  if (!ReadParams(flags, "structural", {"data", "dot"}, &params)) return 2;
   data::TransactionDataset dataset;
   if (!LoadData(flags, &dataset)) return 1;
-  const data::OdGraph od = BuildGraphFor(flags, dataset);
-  core::StructuralMiningOptions options;
-  options.strategy = flags.Get("strategy", "bf") == "df"
-                         ? partition::SplitStrategy::kDepthFirst
-                         : partition::SplitStrategy::kBreadthFirst;
-  options.num_partitions =
-      static_cast<std::size_t>(flags.GetInt("k", 40));
-  options.min_support =
-      static_cast<std::size_t>(flags.GetInt("support", 10));
-  options.max_pattern_edges =
-      static_cast<std::size_t>(flags.GetInt("max-edges", 3));
-  options.repetitions =
-      static_cast<std::size_t>(flags.GetInt("reps", 1));
-  options.miner = flags.Get("miner", "fsg") == "gspan"
-                      ? core::MinerKind::kGspan
-                      : core::MinerKind::kFsg;
-  options.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
-  options.parallelism = common::Parallelism{
-      static_cast<std::size_t>(flags.GetInt("threads", 0))};
-  options.budget = BudgetFromFlags(flags);
+  const data::OdGraph od =
+      server::BuildOdGraph(dataset, params.Get("attribute").AsString());
+  const core::StructuralMiningOptions options = server::StructuralOptions(
+      params, {}, server::BudgetFor(params, {}, g_cancel_token));
   const auto result = core::MineStructuralPatterns(od.graph, options);
   PrintOutcome(result.outcome);
   std::printf("%zu frequent pattern classes\n", result.registry.size());
   const auto ranked = core::RankPatterns(result.registry);
-  const std::size_t top =
-      static_cast<std::size_t>(flags.GetInt("top", 3));
+  const auto top = static_cast<std::size_t>(params.Get("top").AsInt());
   const std::string dot_dir = flags.Get("dot", "");
   for (std::size_t i = 0; i < std::min(top, ranked.size()); ++i) {
     std::printf("\n#%zu %s", i + 1,
@@ -268,17 +265,12 @@ int CmdStructural(const Flags& flags) {
 }
 
 int CmdTemporal(const Flags& flags) {
+  server::JsonValue params;
+  if (!ReadParams(flags, "temporal", {"data"}, &params)) return 2;
   data::TransactionDataset dataset;
   if (!LoadData(flags, &dataset)) return 1;
-  core::TemporalMiningOptions options;
-  options.min_support_fraction = flags.GetDouble("support-fraction", 0.05);
-  options.max_pattern_edges =
-      static_cast<std::size_t>(flags.GetInt("max-edges", 3));
-  options.partition.max_distinct_vertex_labels =
-      static_cast<std::size_t>(flags.GetInt("max-labels", 0));
-  options.parallelism = common::Parallelism{
-      static_cast<std::size_t>(flags.GetInt("threads", 0))};
-  options.budget = BudgetFromFlags(flags);
+  const core::TemporalMiningOptions options = server::TemporalOptions(
+      params, {}, server::BudgetFor(params, {}, g_cancel_token));
   const auto result = core::MineTemporalPatterns(dataset, options);
   PrintOutcome(result.outcome);
   std::printf("%zu per-day transactions (support threshold %zu)\n",
@@ -286,8 +278,7 @@ int CmdTemporal(const Flags& flags) {
               result.absolute_min_support);
   std::printf("%zu temporally repeated pattern classes\n",
               result.registry.size());
-  const std::size_t top =
-      static_cast<std::size_t>(flags.GetInt("top", 3));
+  const auto top = static_cast<std::size_t>(params.Get("top").AsInt());
   std::size_t shown = 0;
   for (const auto* p : result.registry.SortedBySupport()) {
     if (p->graph.num_edges() < 2) continue;
@@ -299,25 +290,14 @@ int CmdTemporal(const Flags& flags) {
 }
 
 int CmdSubdue(const Flags& flags) {
-  if (!IsAcceptedAttribute(flags) ||
-      !IsAccepted(flags, "method", {"mdl", "size", "setcover"})) {
-    return 2;
-  }
+  server::JsonValue params;
+  if (!ReadParams(flags, "subdue", {"data"}, &params)) return 2;
   data::TransactionDataset dataset;
   if (!LoadData(flags, &dataset)) return 1;
-  const data::OdGraph od = BuildGraphFor(flags, dataset);
-  subdue::SubdueOptions options;
-  const std::string method = flags.Get("method", "mdl");
-  options.method = method == "size"      ? subdue::EvalMethod::kSize
-                   : method == "setcover" ? subdue::EvalMethod::kSetCover
-                                          : subdue::EvalMethod::kMdl;
-  options.beam_width =
-      static_cast<std::size_t>(flags.GetInt("beam", 4));
-  options.num_best = static_cast<std::size_t>(flags.GetInt("best", 3));
-  options.max_pattern_edges =
-      static_cast<std::size_t>(flags.GetInt("max-edges", 0));
-  options.limit = static_cast<std::size_t>(flags.GetInt("limit", 0));
-  options.budget = BudgetFromFlags(flags);
+  const data::OdGraph od =
+      server::BuildOdGraph(dataset, params.Get("attribute").AsString());
+  const subdue::SubdueOptions options = server::SubdueOptionsFor(
+      params, server::BudgetFor(params, {}, g_cancel_token));
   const auto result = subdue::DiscoverSubstructures(od.graph, options);
   PrintOutcome(result.outcome);
   std::printf("evaluated %zu substructures (base cost %.1f)\n",
@@ -388,7 +368,11 @@ int CmdDeadhead(const Flags& flags) {
 }
 
 int CmdExport(const Flags& flags) {
-  if (!IsAcceptedAttribute(flags)) return 2;
+  server::JsonValue params;
+  if (!ReadParams(flags, "export", {"data", "arff", "subdue", "fsg"},
+                  &params)) {
+    return 2;
+  }
   data::TransactionDataset dataset;
   if (!LoadData(flags, &dataset)) return 1;
   std::string error;
@@ -402,7 +386,8 @@ int CmdExport(const Flags& flags) {
     std::printf("wrote %s\n", flags.Get("arff", "").c_str());
   }
   if (flags.Has("subdue")) {
-    const data::OdGraph od = BuildGraphFor(flags, dataset);
+    const data::OdGraph od =
+      server::BuildOdGraph(dataset, params.Get("attribute").AsString());
     if (!graph::WriteTextFile(flags.Get("subdue", ""),
                               graph::WriteSubdueFormat(od.graph))) {
       std::fprintf(stderr, "cannot write SUBDUE file\n");
@@ -411,10 +396,10 @@ int CmdExport(const Flags& flags) {
     std::printf("wrote %s\n", flags.Get("subdue", "").c_str());
   }
   if (flags.Has("fsg")) {
-    const data::OdGraph od = BuildGraphFor(flags, dataset);
+    const data::OdGraph od =
+      server::BuildOdGraph(dataset, params.Get("attribute").AsString());
     partition::SplitOptions split;
-    split.num_partitions =
-        static_cast<std::size_t>(flags.GetInt("k", 40));
+    split.num_partitions = static_cast<std::size_t>(params.Get("k").AsInt());
     const auto parts = partition::SplitGraph(od.graph, split);
     if (!graph::WriteTextFile(flags.Get("fsg", ""),
                               graph::WriteFsgFormat(parts))) {
@@ -427,39 +412,12 @@ int CmdExport(const Flags& flags) {
   return 0;
 }
 
-/// `client` — one request to a running tnmined (DESIGN.md §14).
-///
-///   tnmine_cli client --connect unix:/tmp/tnmined.sock --op stats
-///   tnmine_cli client --connect tcp:127.0.0.1:7077 --op structural \
-///       --miner gspan --support 10 --top 3
-///
-/// Mining flags mirror the local subcommands (dashes become underscores
-/// in the request params); only flags the caller passes are sent, so the
-/// server's defaults — and thus its cache key — stay canonical. The raw
-/// response JSON goes to stdout. Exit code: 0 on ok:true, 3 on a server
-/// error response, 1 on transport failure.
-///
-/// --repeat N re-sends the same request on one connection (the second
-/// response of a mining op should come back "cached":true) and
-/// --disconnect-after-ms N sends the request, sleeps, and closes without
-/// reading the response — the mid-flight disconnect path the server must
-/// answer by cancelling the mining run.
-///
-/// Resilience (DESIGN.md §15): --retry N makes up to N total attempts
-/// with exponential backoff + deterministic jitter
-/// (--retry-backoff-ms, --retry-seed); --request-deadline-ms caps the
-/// whole attempt loop; --io-timeout-ms bounds each frame read/write.
-/// Request retry is gated on idempotency: every current op is a read
-/// except load_snapshot and shutdown, whose requests are never
-/// re-sent (their connects still retry — connecting is always safe).
-/// --failpoint site:kind[:hit] arms deterministic fault injection in
-/// this client process (e.g. wire/connect_fail:io:1 to prove --retry
-/// rides through a transient connect failure).
 /// Opens the transaction set for `mine`: an out-of-core shard directory
 /// (--shard-dir, written by tnshard build) or an FSG-format text file
 /// (--fsg, loaded whole into RAM). Prints and returns null on error.
 std::unique_ptr<graph::TransactionSource> OpenMiningSource(
-    const Flags& flags, const common::ResourceBudget& budget) {
+    const Flags& flags, const server::JsonValue& params,
+    const common::ResourceBudget& budget) {
   const std::string shard_dir = flags.Get("shard-dir", "");
   const std::string fsg_path = flags.Get("fsg", "");
   if (shard_dir.empty() == fsg_path.empty()) {
@@ -470,10 +428,8 @@ std::unique_ptr<graph::TransactionSource> OpenMiningSource(
   }
   std::string error;
   if (!shard_dir.empty()) {
-    graph::ShardedTransactionSource::Options options;
-    options.max_resident_shards = static_cast<std::size_t>(
-        std::max(1L, flags.GetInt("max-resident-shards", 2)));
-    options.budget = budget;
+    graph::ShardedTransactionSource::Options options =
+        server::ShardSourceOptions(params, budget);
     options.verify_fingerprints = flags.GetInt("verify", 0) != 0;
     auto source =
         graph::ShardedTransactionSource::Open(shard_dir, options, &error);
@@ -506,56 +462,25 @@ std::unique_ptr<graph::TransactionSource> OpenMiningSource(
 /// charged against --max-memory-mb; output is byte-identical to mining
 /// the same transactions in RAM.
 int CmdMine(const Flags& flags) {
-  if (!IsAccepted(flags, "miner", {"fsg", "gspan"})) return 2;
-  const common::ResourceBudget budget = BudgetFromFlags(flags);
+  server::JsonValue params;
+  if (!ReadParams(flags, "mine_shards", {"shard-dir", "fsg", "verify"},
+                  &params)) {
+    return 2;
+  }
+  const common::ResourceBudget budget =
+      server::BudgetFor(params, {}, g_cancel_token);
   const std::unique_ptr<graph::TransactionSource> source =
-      OpenMiningSource(flags, budget);
+      OpenMiningSource(flags, params, budget);
   if (!source) return 2;
 
-  const auto min_support =
-      static_cast<std::size_t>(flags.GetInt("support", 2));
-  const auto max_edges =
-      static_cast<std::size_t>(flags.GetInt("max-edges", 3));
-  const common::Parallelism parallelism{
-      static_cast<std::size_t>(flags.GetInt("threads", 0))};
-
-  std::vector<pattern::FrequentPattern> patterns;
-  common::MiningOutcome outcome;
-  if (flags.Get("miner", "fsg") == "gspan") {
-    gspan::GspanOptions options;
-    options.min_support = min_support;
-    options.max_edges = max_edges;
-    options.parallelism = parallelism;
-    options.budget = budget;
-    gspan::GspanResult result = gspan::MineGspan(*source, options);
-    outcome = result.outcome;
-    patterns = std::move(result.patterns);
-  } else {
-    fsg::FsgOptions options;
-    options.min_support = min_support;
-    options.max_edges = max_edges;
-    options.parallelism = parallelism;
-    options.budget = budget;
-    fsg::FsgResult result = fsg::MineFsg(*source, options);
-    outcome = result.outcome;
-    patterns = std::move(result.patterns);
-  }
-
-  PrintOutcome(outcome);
+  const server::TransactionMiningResult mined =
+      server::MineTransactions(*source, params, {}, budget);
+  PrintOutcome(mined.outcome);
   std::printf("%zu transactions in %zu shards\n",
               source->num_transactions(), source->num_shards());
-  std::printf("%zu frequent patterns\n", patterns.size());
-  const auto top = static_cast<std::size_t>(flags.GetInt("top", 3));
-  // Rank by support descending; ties keep the miner's deterministic
-  // enumeration order, so this listing is stable across runs too.
-  std::vector<const pattern::FrequentPattern*> ranked;
-  ranked.reserve(patterns.size());
-  for (const pattern::FrequentPattern& p : patterns) ranked.push_back(&p);
-  std::stable_sort(ranked.begin(), ranked.end(),
-                   [](const pattern::FrequentPattern* a,
-                      const pattern::FrequentPattern* b) {
-                     return a->support > b->support;
-                   });
+  std::printf("%zu frequent patterns\n", mined.patterns.size());
+  const auto ranked = server::RankBySupport(mined.patterns);
+  const auto top = static_cast<std::size_t>(params.Get("top").AsInt());
   for (std::size_t i = 0; i < std::min(top, ranked.size()); ++i) {
     const pattern::FrequentPattern& p = *ranked[i];
     std::printf("#%zu support=%zu vertices=%zu edges=%zu\n", i + 1,
@@ -565,6 +490,35 @@ int CmdMine(const Flags& flags) {
   return 0;
 }
 
+/// `client` — one request to a running tnmined (DESIGN.md §14).
+///
+///   tnmine_cli client --connect unix:/tmp/tnmined.sock --op stats
+///   tnmine_cli client --connect tcp:127.0.0.1:7077 --op structural \
+///       --miner gspan --support 10 --top 3
+///
+/// A mining op's flags are the knobs of its request schema, checked as
+/// for the local subcommands before any connection opens. Only the
+/// knobs the caller passes are sent, so the server's defaults — and
+/// thus its cache key — stay canonical. The raw response JSON goes to
+/// stdout. Exit code: 0 on ok:true, 2 on a usage error, 3 on a server
+/// error response, 1 on transport failure.
+///
+/// --repeat N re-sends the same request on one connection (the second
+/// response of a mining op should come back "cached":true) and
+/// --disconnect-after-ms N sends the request, sleeps, and closes without
+/// reading the response — the mid-flight disconnect path the server must
+/// answer by cancelling the mining run.
+///
+/// Resilience (DESIGN.md §15): --retry N makes up to N total attempts
+/// with exponential backoff + deterministic jitter
+/// (--retry-backoff-ms, --retry-seed); --request-deadline-ms caps the
+/// whole attempt loop; --io-timeout-ms bounds each frame read/write.
+/// Request retry is gated on idempotency: every current op is a read
+/// except load_snapshot and shutdown, whose requests are never
+/// re-sent (their connects still retry — connecting is always safe).
+/// --failpoint site:kind[:hit] arms deterministic fault injection in
+/// this client process (e.g. wire/connect_fail:io:1 to prove --retry
+/// rides through a transient connect failure).
 int CmdClient(const Flags& flags) {
   const std::string connect = flags.Get("connect", "");
   if (connect.empty()) {
@@ -609,34 +563,17 @@ int CmdClient(const Flags& flags) {
     params.Set("dir", server::JsonValue(flags.Get("dir", "")));
   } else if (op == "structural" || op == "temporal" ||
              op == "mine_shards") {
-    static constexpr const char* kStringFlags[] = {"attribute", "strategy",
-                                                   "miner"};
-    static constexpr const char* kIntFlags[] = {
-        "k",           "support",        "max-edges",
-        "max-labels",  "reps",           "seed",
-        "threads",     "top",            "max-resident-shards",
-        "deadline-ms", "max-work-ticks", "max-memory-mb"};
-    static constexpr const char* kDoubleFlags[] = {"support-fraction"};
-    const auto param_name = [](std::string name) {
-      for (char& c : name)
-        if (c == '-') c = '_';
-      return name;
-    };
-    for (const char* flag : kStringFlags)
-      if (flags.Has(flag))
-        params.Set(param_name(flag),
-                   server::JsonValue(flags.Get(flag, "")));
-    for (const char* flag : kIntFlags)
-      if (flags.Has(flag))
-        params.Set(param_name(flag),
-                   server::JsonValue(
-                       static_cast<std::int64_t>(flags.GetInt(flag, 0))));
-    for (const char* flag : kDoubleFlags)
-      if (flags.Has(flag))
-        params.Set(param_name(flag),
-                   server::JsonValue(flags.GetDouble(flag, 0.0)));
+    if (!GivenParams(flags, op,
+                     {"connect", "op", "id", "failpoint", "retry",
+                      "retry-backoff-ms", "retry-seed", "request-deadline-ms",
+                      "io-timeout-ms", "disconnect-after-ms", "repeat"},
+                     &params)) {
+      return 2;
+    }
   }
   if (!params.object().empty()) request.Set("params", params);
+  const long wait_ms = flags.GetInt("disconnect-after-ms", 0);
+  const long repeat = std::max(1L, flags.GetInt("repeat", 1));
 
   server::BlockingClient client;
   client.set_io_timeout_ms(
@@ -648,7 +585,6 @@ int CmdClient(const Flags& flags) {
   }
 
   if (flags.Has("disconnect-after-ms")) {
-    const long wait_ms = flags.GetInt("disconnect-after-ms", 0);
     if (!client.Send(request, &error)) {
       std::fprintf(stderr, "client: %s\n", error.c_str());
       return 1;
@@ -659,7 +595,6 @@ int CmdClient(const Flags& flags) {
     return 0;
   }
 
-  const long repeat = std::max(1L, flags.GetInt("repeat", 1));
   int rc = 0;
   for (long i = 0; i < repeat; ++i) {
     server::JsonValue response;

@@ -107,18 +107,21 @@ int CmdBuild(const Flags& flags) {
   }
   const auto shard_size = static_cast<std::size_t>(
       std::max(1L, flags.GetInt("shard-size", 64)));
-  if (mkdir(out.c_str(), 0755) != 0 && errno != EEXIST) {
-    std::fprintf(stderr, "cannot create %s\n", out.c_str());
-    return 1;
-  }
-
   const std::string input = flags.Get("input", "");
   const long generate = flags.GetInt("generate", 0);
+  const auto base_seed =
+      static_cast<std::uint64_t>(flags.GetInt("seed", 2005));
+  synth::KkOptions kk;
+  kk.avg_transaction_edges = flags.GetDouble("avg-edges", 27.4);
   if (input.empty() == (generate <= 0)) {
     std::fprintf(stderr,
                  "exactly one of --input <file.fsg> or --generate <N> is "
                  "required\n");
     return 2;
+  }
+  if (mkdir(out.c_str(), 0755) != 0 && errno != EEXIST) {
+    std::fprintf(stderr, "cannot create %s\n", out.c_str());
+    return 1;
   }
 
   RotatingShardWriter writer(out, shard_size);
@@ -148,10 +151,6 @@ int CmdBuild(const Flags& flags) {
     // index perturbs the seed so chunks are independent streams, and
     // peak memory is one shard of LabeledGraphs regardless of --generate.
     const auto total = static_cast<std::size_t>(generate);
-    const auto base_seed =
-        static_cast<std::uint64_t>(flags.GetInt("seed", 2005));
-    synth::KkOptions kk;
-    kk.avg_transaction_edges = flags.GetDouble("avg-edges", 27.4);
     for (std::size_t done = 0; done < total;) {
       const std::size_t chunk = std::min(shard_size, total - done);
       kk.num_transactions = chunk;
