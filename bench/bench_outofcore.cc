@@ -20,7 +20,8 @@
 //   equiv   mines a small set in RAM and through shard files at three
 //           shard cuts x threads {1,2,4} (FSG and gSpan) and fails
 //           unless every run's (code, support, tids) stream is
-//           byte-identical to the in-memory reference.
+//           byte-identical to the in-memory reference and every FSG run
+//           answers as many checks from witnesses (fsg/witness_hits).
 //
 // Emits BENCH_outofcore.json ("seconds" tracked; RSS figures are
 // printed and attached to the RunReport, not used as row keys — they
@@ -42,6 +43,7 @@
 #include "bench/bench_util.h"
 #include "common/budget.h"
 #include "common/stopwatch.h"
+#include "common/telemetry.h"
 #include "common/thread_pool.h"
 #include "fsg/fsg.h"
 #include "graph/shard_store.h"
@@ -117,6 +119,24 @@ std::string Flatten(const std::vector<pattern::FrequentPattern>& patterns) {
     }
     out += '\n';
   }
+  return out;
+}
+
+/// Current value of telemetry counter `name` (0 when absent).
+std::uint64_t CounterValue(const char* name) {
+  const auto counters = telemetry::Registry::Global().Snapshot().counters;
+  const auto it = counters.find(name);
+  return it == counters.end() ? 0 : it->second;
+}
+
+/// Runs FSG and returns its output stream; `witness_hits` receives the
+/// growth of fsg/witness_hits during the run.
+template <typename Source>
+std::string MineFsgCounted(Source& source, const fsg::FsgOptions& options,
+                           std::uint64_t* witness_hits) {
+  const std::uint64_t before = CounterValue("fsg/witness_hits");
+  std::string out = Flatten(fsg::MineFsg(source, options).patterns);
+  *witness_hits = CounterValue("fsg/witness_hits") - before;
   return out;
 }
 
@@ -271,8 +291,9 @@ int main(int argc, char** argv) {
   gspan::GspanOptions gspan_ref;
   gspan_ref.min_support = 8;
   gspan_ref.max_edges = 3;
+  std::uint64_t hits_expected = 0;
   const std::string fsg_expected =
-      Flatten(fsg::MineFsg(small.transactions, fsg_ref).patterns);
+      MineFsgCounted(small.transactions, fsg_ref, &hits_expected);
   const std::string gspan_expected =
       Flatten(gspan::MineGspan(small.transactions, gspan_ref).patterns);
 
@@ -313,8 +334,9 @@ int main(int argc, char** argv) {
       gspan::GspanOptions go = gspan_ref;
       go.parallelism = common::Parallelism{t};
       Stopwatch watch;
-      const bool fsg_ok =
-          Flatten(fsg::MineFsg(*source, fo).patterns) == fsg_expected;
+      std::uint64_t hits = 0;
+      const bool fsg_ok = MineFsgCounted(*source, fo, &hits) == fsg_expected &&
+                          hits == hits_expected;
       const bool gspan_ok =
           Flatten(gspan::MineGspan(*source, go).patterns) ==
           gspan_expected;

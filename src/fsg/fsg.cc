@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -321,6 +322,55 @@ bool SmallGraphsIsomorphic(const LabeledGraph& a, const LabeledGraph& b) {
   return false;
 }
 
+/// Returns `*bytes` to `budget` when the scope ends, however it ends.
+struct MemoryRelease {
+  const common::ResourceBudget* budget;
+  const std::uint64_t* bytes;
+  ~MemoryRelease() { budget->ReleaseMemory(*bytes); }
+};
+
+/// The edge a candidate adds to its generating parent, in the candidate's
+/// numbering: the parent's vertices keep their ids and a new vertex is
+/// numbered parent.num_vertices().
+struct AddedEdge {
+  VertexId src = 0;
+  VertexId dst = 0;
+  Label label = 0;
+};
+
+/// Extends `parent`, the vertex images of one occurrence of the
+/// generating parent in `t`, by the candidate's added edge. An edge
+/// between two parent vertices needs `need` target edges between their
+/// images (the parallel pattern edges it joins included); an edge to a
+/// new vertex takes the first arc with the edge's label from the anchor's
+/// image to an unmapped vertex labelled `new_label`. On success `images`
+/// holds the candidate's vertex images, an explicit occurrence, so a
+/// "yes" is always right; a "no" proves nothing.
+bool ExtendWitness(const graph::GraphView& t,
+                   std::span<const VertexId> parent, const AddedEdge& added,
+                   Label new_label, std::size_t need,
+                   std::vector<VertexId>* images) {
+  const auto fresh = static_cast<VertexId>(parent.size());
+  images->assign(parent.begin(), parent.end());
+  if (added.src != fresh && added.dst != fresh) {
+    return t.CountOutEdges(parent[added.src], parent[added.dst],
+                           added.label) >= need;
+  }
+  const bool outward = added.dst == fresh;
+  const VertexId anchor = parent[outward ? added.src : added.dst];
+  for (const graph::GraphView::Arc& arc :
+       outward ? t.OutArcs(anchor, added.label)
+               : t.InArcs(anchor, added.label)) {
+    if (t.vertex_label(arc.other) != new_label ||
+        std::find(parent.begin(), parent.end(), arc.other) != parent.end()) {
+      continue;
+    }
+    images->push_back(arc.other);
+    return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 FsgResult MineFsg(const std::vector<LabeledGraph>& transactions,
@@ -577,6 +627,26 @@ FsgResult MineFsg(graph::TransactionSource& source,
     result.patterns.push_back(p);
   }
 
+  // Witnesses of the frontier, for the next level's support counting
+  // (DESIGN.md §12): per pattern, one occurrence per supporting
+  // transaction, as the images of its vertices (num_vertices() of them
+  // per TID, in ascending-TID order). Empty for a pattern that keeps
+  // none: every level-1 and level-2 pattern, and any whose bytes the
+  // memory ceiling refused. The bytes are charged against options.budget
+  // only, never against max_candidate_bytes, and handed back before the
+  // ceiling could refuse a candidate, so in memory they change speed, not
+  // output (out of core they share the ceiling with shard pins).
+  std::vector<std::vector<VertexId>> frontier_witnesses(frontier.size());
+  std::uint64_t witness_charged = 0;
+  const MemoryRelease release_witnesses{&options.budget, &witness_charged};
+  auto drop_witnesses = [&] {
+    for (std::vector<VertexId>& w : frontier_witnesses) {
+      std::vector<VertexId>().swap(w);
+    }
+    options.budget.ReleaseMemory(witness_charged);
+    witness_charged = 0;
+  };
+
   // ---------------------------------------------------------------------
   // Levels 2..: extend, dedup, prune, count.
   std::size_t level = 1;  // edges in current frontier patterns
@@ -599,6 +669,10 @@ FsgResult MineFsg(graph::TransactionSource& source,
       // level-2 wedge lookup) rather than an upper bound; counting then
       // takes the set as-is and skips VF2 entirely.
       bool feasible_exact = false;
+      // The frontier pattern that generated the candidate (the first to
+      // reach its class) and the edge it added.
+      std::size_t parent = 0;
+      AddedEdge added;
     };
     std::unordered_map<std::string, Candidate> candidates;
     // Isomorphism classes of 2-edge extensions already seen this level,
@@ -614,11 +688,7 @@ FsgResult MineFsg(graph::TransactionSource& source,
     // Bytes charged against the shared memory ceiling for this level's
     // candidate set, released when the level's scope ends (break or not).
     std::uint64_t level_charged = 0;
-    struct MemRelease {
-      const common::ResourceBudget* budget;
-      const std::uint64_t* bytes;
-      ~MemRelease() { budget->ReleaseMemory(*bytes); }
-    } release{&options.budget, &level_charged};
+    const MemoryRelease release{&options.budget, &level_charged};
     // Level-local telemetry, flushed once per level so the hot extension
     // loop stays free of atomics.
     std::uint64_t extensions_considered = 0;
@@ -630,8 +700,10 @@ FsgResult MineFsg(graph::TransactionSource& source,
 
     try {
       TNMINE_TRACE_SPAN("fsg/generate");
-      for (const FrequentPattern& parent : frontier) {
+      for (std::size_t parent_index = 0; parent_index < frontier.size();
+           ++parent_index) {
         if (oom || level_outcome != common::MiningOutcome::kComplete) break;
+        const FrequentPattern& parent = frontier[parent_index];
         const LabeledGraph& pg = parent.graph;
         // Lazily created shared copy of the parent's TID set, handed to
         // every candidate whose feasibility intersection removes nothing
@@ -835,6 +907,8 @@ FsgResult MineFsg(graph::TransactionSource& source,
           c.pattern.code = code;
           c.feasible = std::move(feasible);
           c.feasible_exact = feasible_exact;
+          c.parent = parent_index;
+          c.added = {src, dst, t.edge_label};
           const std::uint64_t delta = EstimateBytes(c.pattern) + tid_bytes;
           candidate_bytes += delta;
           result.peak_candidate_bytes =
@@ -845,9 +919,14 @@ FsgResult MineFsg(graph::TransactionSource& source,
             oom = true;
             return;
           }
-          if (!options.budget.TryChargeMemory(delta)) {
-            oom = true;
-            return;
+          if (!options.budget.TryChargeMemoryNoTrip(delta)) {
+            // Witnesses only save time: give their bytes back before the
+            // ceiling refuses a candidate.
+            drop_witnesses();
+            if (!options.budget.TryChargeMemory(delta)) {
+              oom = true;
+              return;
+            }
           }
           level_charged += delta;
           candidates.emplace(std::move(code), std::move(c));
@@ -903,10 +982,10 @@ FsgResult MineFsg(graph::TransactionSource& source,
     }
 
     // Support counting against the candidate's feasible TID set. Each
-    // candidate's containment checks are independent, so candidates are
-    // counted on parallel lanes; sorting them by canonical code first
-    // fixes the counting/output order deterministically (the hash-map
-    // iteration order it replaces was implementation-defined).
+    // candidate's containment checks are independent of every other
+    // candidate's; sorting them by canonical code first fixes the
+    // counting/output order deterministically (the hash-map iteration
+    // order it replaces was implementation-defined).
     std::vector<Candidate> ordered;
     ordered.reserve(candidates.size());
     for (auto& [code, candidate] : candidates) {
@@ -916,73 +995,210 @@ FsgResult MineFsg(graph::TransactionSource& source,
               [](const Candidate& a, const Candidate& b) {
                 return a.pattern.code < b.pattern.code;
               });
+    // Candidates are counted grouped by generating parent, one group per
+    // lane task: a group walks the union of its children's feasible sets
+    // once, ascending, through one reader, so each transaction yields one
+    // parent occurrence for all of its children (DESIGN.md §12,
+    // "Witness-first counting").
+    std::vector<std::vector<std::size_t>> children_of(frontier.size());
+    for (std::size_t c = 0; c < ordered.size(); ++c) {
+      children_of[ordered[c].parent].push_back(c);
+    }
+    // The patterns of the last level parent nothing, so they keep none.
+    const bool keep_witnesses =
+        options.max_edges == 0 || level < options.max_edges;
+    iso::MatchOptions match_options;
+    match_options.max_search_steps = options.max_match_steps;
     struct CountResult {
       std::vector<std::uint32_t> tids;
+      std::vector<VertexId> witnesses;  // aligned with tids, when kept
       std::uint64_t checks = 0;
       common::MiningOutcome aborted = common::MiningOutcome::kComplete;
     };
+    std::vector<CountResult> counted(ordered.size());
     TNMINE_TRACE_SPAN("fsg/count_phase");
-    std::vector<CountResult> counted = common::ParallelMap<CountResult>(
-        options.parallelism, ordered.size(), [&](std::size_t c) {
-          CountResult out;
-          // Shared stop conditions (cancel/deadline/memory trip) are
-          // honored per candidate; tick truncation is settled
-          // deterministically after the map, below.
-          out.aborted = options.budget.StopReason();
-          if (out.aborted != common::MiningOutcome::kComplete) {
-            return out;
+    auto count_group = [&](std::size_t parent) {
+      // A child candidate of the group, with its cursor into its
+      // feasible set while it is still checking.
+      struct Child {
+        std::size_t c;
+        TidSet::const_iterator next;
+        std::size_t card;
+        std::size_t visited = 0;
+        bool open = true;
+        std::size_t need = 0;  // target edges an inner added edge needs
+        Label new_label = 0;   // the new vertex's label, if any
+        std::optional<iso::SubgraphMatcher> matcher{};  // built on first use
+      };
+      const FrequentPattern& pp = frontier[parent];
+      const std::size_t np = pp.graph.num_vertices();
+      std::vector<Child> children;
+      children.reserve(children_of[parent].size());
+      for (const std::size_t c : children_of[parent]) {
+        CountResult& out = counted[c];
+        // Shared stop conditions (cancel/deadline/memory trip) are
+        // honored per candidate; tick truncation is settled
+        // deterministically after the map, below.
+        out.aborted = options.budget.StopReason();
+        if (out.aborted != common::MiningOutcome::kComplete) continue;
+        const TidSet& feasible = *ordered[c].feasible;
+        // The feasible set's cardinality is already an upper bound on
+        // support: skip the matcher entirely when it cannot reach
+        // min_support.
+        const std::size_t card = feasible.Cardinality();
+        try {
+          (void)TNMINE_FAILPOINT("fsg/count");
+          if (card < options.min_support) continue;
+          if (ordered[c].feasible_exact) {
+            // Level-2 candidates carry their exact support set from the
+            // wedge index; materialize it without any VF2 work.
+            out.tids = feasible.ToVector();
+            continue;
           }
-          const FrequentPattern& p = ordered[c].pattern;
-          const TidSet& feasible = *ordered[c].feasible;
-          try {
-            (void)TNMINE_FAILPOINT("fsg/count");
-            // The feasible set's cardinality is already an upper bound
-            // on support: skip the matcher entirely when it cannot
-            // reach min_support.
-            const std::size_t card = feasible.Cardinality();
-            if (ordered[c].feasible_exact) {
-              // Level-2 candidates carry their exact support set from
-              // the wedge index; materialize it without any VF2 work.
-              if (card >= options.min_support) out.tids = feasible.ToVector();
-            } else if (card >= options.min_support) {
-              // One search plan per candidate, reused across every
-              // feasible transaction view (the former code rebuilt the
-              // matcher per containment check).
-              iso::SubgraphMatcher matcher(p.graph);
-              iso::MatchOptions match_options;
-              match_options.max_search_steps = options.max_match_steps;
-              // Per-candidate reader: the feasible set is ascending, so
-              // the streaming scan pins each shard it touches once.
-              graph::TransactionSource::Reader reader(source);
-              std::size_t i = 0;
-              for (const std::uint32_t tid : feasible) {
-                // Early abort when the remaining transactions cannot
-                // reach min_support.
-                if (out.tids.size() + (card - i) < options.min_support) {
-                  break;
-                }
-                ++i;
-                ++out.checks;
-                if (matcher.Contains(reader.View(tid), match_options)) {
-                  out.tids.push_back(tid);
+          const LabeledGraph& cg = ordered[c].pattern.graph;
+          const AddedEdge& added = ordered[c].added;
+          Child child{.c = c, .next = feasible.begin(), .card = card};
+          if (std::max(added.src, added.dst) < np) {
+            cg.ForEachOutEdge(added.src, [&](EdgeId e) {
+              const Edge& edge = cg.edge(e);
+              child.need += edge.dst == added.dst && edge.label == added.label;
+            });
+          } else {
+            child.new_label = cg.vertex_label(static_cast<VertexId>(np));
+          }
+          children.push_back(std::move(child));
+        } catch (const std::bad_alloc&) {
+          out.aborted = common::MiningOutcome::kMemoryBudgetExceeded;
+          out.tids.clear();
+        }
+      }
+      std::uint64_t witness_hits = 0;
+      std::uint64_t parent_searches = 0;
+      std::uint64_t exhausted = 0;
+      try {
+        // The parent's occurrence in the current transaction: its stored
+        // witness (found by rank in its TID set) or, when it keeps none,
+        // one VF2 search made at the first child's check.
+        const std::vector<VertexId>& stored = frontier_witnesses[parent];
+        TidSet::const_iterator parent_tid = pp.tids.begin();
+        std::size_t parent_rank = 0;
+        std::optional<iso::SubgraphMatcher> parent_matcher;
+        std::vector<VertexId> parent_images;
+        std::vector<VertexId> images;
+        graph::TransactionSource::Reader reader(source);
+        for (;;) {
+          // Close the children whose remaining transactions cannot reach
+          // min_support (or that have none left); the smallest next TID
+          // of the others is the transaction to check.
+          std::optional<std::uint32_t> next_tid;
+          for (Child& child : children) {
+            if (!child.open) continue;
+            if (counted[child.c].tids.size() + (child.card - child.visited) <
+                    options.min_support ||
+                child.visited == child.card) {
+              child.open = false;
+              continue;
+            }
+            next_tid = std::min(next_tid.value_or(*child.next), *child.next);
+          }
+          if (!next_tid) break;
+          const std::uint32_t tid = *next_tid;
+          // A group spans many candidates' checks, so shared stops are
+          // polled per transaction, not only when a candidate starts.
+          const common::MiningOutcome stop = options.budget.StopReason();
+          if (stop != common::MiningOutcome::kComplete) {
+            for (Child& child : children) {
+              if (!child.open) continue;
+              child.open = false;
+              counted[child.c].aborted = stop;
+              counted[child.c].tids.clear();
+            }
+            break;
+          }
+          const graph::GraphView& view = reader.View(tid);
+          std::optional<std::span<const VertexId>> parent_occurrence;
+          bool parent_looked_up = false;
+          for (Child& child : children) {
+            if (!child.open || *child.next != tid) continue;
+            ++child.next;
+            ++child.visited;
+            CountResult& out = counted[child.c];
+            ++out.checks;
+            if (!parent_looked_up) {
+              parent_looked_up = true;
+              if (!stored.empty()) {
+                for (; *parent_tid != tid; ++parent_tid) ++parent_rank;
+                parent_occurrence.emplace(stored.data() + parent_rank * np,
+                                          np);
+              } else {
+                if (!parent_matcher) parent_matcher.emplace(pp.graph);
+                ++parent_searches;
+                if (parent_matcher->FirstOccurrence(view, match_options,
+                                                    &parent_images)) {
+                  parent_occurrence.emplace(parent_images);
                 }
               }
             }
-          } catch (const std::bad_alloc&) {
-            out.aborted = common::MiningOutcome::kMemoryBudgetExceeded;
-            out.tids.clear();
+            bool contained =
+                parent_occurrence &&
+                ExtendWitness(view, *parent_occurrence,
+                              ordered[child.c].added, child.new_label,
+                              child.need, &images);
+            if (contained) {
+              ++witness_hits;
+            } else {
+              if (!child.matcher) {
+                child.matcher.emplace(ordered[child.c].pattern.graph);
+              }
+              contained =
+                  child.matcher->FirstOccurrence(view, match_options, &images);
+              if (!contained && child.matcher->exhausted()) {
+                // The step cap stopped the search before it could say
+                // "no": the candidate's support is unknown, so it ends
+                // like a work-allotment stop instead of under-counting.
+                ++exhausted;
+                child.open = false;
+                out.aborted = common::MiningOutcome::kDeadlineExceeded;
+                out.tids.clear();
+                continue;
+              }
+            }
+            if (contained) {
+              out.tids.push_back(tid);
+              if (keep_witnesses) {
+                out.witnesses.insert(out.witnesses.end(), images.begin(),
+                                     images.end());
+              }
+            }
           }
-          // One flush per candidate: the per-candidate check count is
-          // scheduling-independent, so the total is too.
-          TNMINE_COUNTER_ADD("fsg/support_checks", out.checks);
-          return out;
-        });
+        }
+      } catch (const std::bad_alloc&) {
+        for (const Child& child : children) {
+          if (!child.open) continue;
+          counted[child.c].aborted =
+              common::MiningOutcome::kMemoryBudgetExceeded;
+          counted[child.c].tids.clear();
+        }
+      }
+      // One flush per group: every count is a function of the group
+      // alone, so the totals are scheduling-independent.
+      std::uint64_t checks = 0;
+      for (const Child& child : children) checks += counted[child.c].checks;
+      TNMINE_COUNTER_ADD("fsg/support_checks", checks);
+      TNMINE_COUNTER_ADD("fsg/witness_hits", witness_hits);
+      TNMINE_COUNTER_ADD("fsg/parent_searches", parent_searches);
+      TNMINE_COUNTER_ADD("fsg/match_steps_exhausted", exhausted);
+    };
+    common::ParallelFor(options.parallelism, frontier.size(), count_group);
+    // The frontier's witnesses have served their one use.
+    drop_witnesses();
     // Settle the parallel phase against the tick ledger in sorted
     // candidate order. Each candidate's check count is a deterministic
     // function of the candidate alone, so the prefix that fits the
     // remaining allotment — and therefore the emitted pattern set — is
     // identical at any thread count.
     std::vector<FrequentPattern> next_frontier;
+    std::vector<std::vector<VertexId>> next_witnesses;
     for (std::size_t c = 0; c < ordered.size(); ++c) {
       if (counted[c].aborted != common::MiningOutcome::kComplete) {
         level_outcome =
@@ -1000,6 +1216,17 @@ FsgResult MineFsg(graph::TransactionSource& source,
       p.tids = TidSet::FromSorted(std::move(counted[c].tids), universe);
       p.support = p.tids.Cardinality();
       next_frontier.push_back(std::move(p));
+      // A refused charge drops the pattern's witnesses: its children
+      // then find their parent occurrences by VF2.
+      std::vector<VertexId>& witnesses = counted[c].witnesses;
+      witnesses.shrink_to_fit();
+      const std::uint64_t bytes = witnesses.size() * sizeof(VertexId);
+      if (options.budget.TryChargeMemoryNoTrip(bytes)) {
+        witness_charged += bytes;
+      } else {
+        std::vector<VertexId>().swap(witnesses);
+      }
+      next_witnesses.push_back(std::move(witnesses));
     }
     result.frequent_per_level.push_back(next_frontier.size());
     TNMINE_COUNTER_ADD("fsg/candidates_counted", ordered.size());
@@ -1018,6 +1245,7 @@ FsgResult MineFsg(graph::TransactionSource& source,
     }
     result.levels_completed = level;
     frontier = std::move(next_frontier);
+    frontier_witnesses = std::move(next_witnesses);
     frontier_bytes = retained_bytes();
   }
   result.work_ticks = meter.ticks_spent();

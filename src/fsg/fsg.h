@@ -32,12 +32,15 @@ struct FsgOptions {
   /// failures the paper hit on its 1 GB Sparc (Sections 6.1 and 8).
   std::uint64_t max_candidate_bytes = 0;
   /// Per-containment-check VF2 step budget (0 = unlimited); a safety valve
-  /// for pathological transactions.
+  /// for pathological transactions. A check that exhausts it leaves the
+  /// candidate's support unknown, so the candidate ends as a work-allotment
+  /// stop (kDeadlineExceeded) and its level is truncated, never
+  /// under-counted.
   std::uint64_t max_match_steps = 2'000'000;
-  /// Lanes for candidate support counting — each candidate's VF2
-  /// containment checks against its parent's TID list are independent of
-  /// every other candidate's. Any value yields identical results:
-  /// candidates are counted and emitted in sorted canonical-code order.
+  /// Lanes for candidate support counting — candidates are counted in
+  /// groups by generating parent, and each group's checks are independent
+  /// of every other group's. Any value yields identical results:
+  /// candidates are settled and emitted in sorted canonical-code order.
   common::Parallelism parallelism;
   /// Resource governance. Tick accounting is kept deterministic across
   /// thread counts by metering the sequential phases directly and, for
@@ -81,7 +84,9 @@ struct FsgResult {
 /// deduplicated by canonical code, pruned by the downward-closure check
 /// (every connected (k)-edge sub-pattern must itself be frequent), and
 /// support-counted by subgraph-isomorphism against the transactions in
-/// the generating parent's TID list.
+/// the generating parent's TID list: each check first extends one stored
+/// occurrence of the parent by the added edge and runs VF2 only when
+/// that fails (DESIGN.md §12, "Witness-first counting").
 ///
 /// Transactions may be multigraphs; a pattern with parallel edges requires
 /// matching parallel edges in a transaction. Transactions must be dense

@@ -118,6 +118,8 @@ void SubgraphMatcher::BuildPlan() {
   want_label_.resize(n);
   p_out_degree_.resize(n);
   p_in_degree_.resize(n);
+  out_label_floor_.resize(n);
+  in_label_floor_.resize(n);
   requirements_.resize(n);
   self_loop_need_.resize(n);
   anchors_.resize(n);
@@ -129,6 +131,19 @@ void SubgraphMatcher::BuildPlan() {
     want_label_[i] = pattern_.vertex_label(p);
     p_out_degree_[i] = static_cast<std::uint32_t>(pattern_.OutDegree(p));
     p_in_degree_[i] = static_cast<std::uint32_t>(pattern_.InDegree(p));
+    // A monomorphism maps p's edges of each label and direction to
+    // distinct target arcs of the same label and direction (a self-loop
+    // is an arc both ways, on both sides).
+    std::map<Label, std::uint32_t> out_floor;
+    std::map<Label, std::uint32_t> in_floor;
+    pattern_.ForEachOutEdge(p, [&](EdgeId e) {
+      ++out_floor[pattern_.edge(e).label];
+    });
+    pattern_.ForEachInEdge(p, [&](EdgeId e) {
+      ++in_floor[pattern_.edge(e).label];
+    });
+    out_label_floor_[i].assign(out_floor.begin(), out_floor.end());
+    in_label_floor_[i].assign(in_floor.begin(), in_floor.end());
     std::map<Label, std::uint32_t> loop_need;
     for (const PatternEdgeRef& ref : back_edges[i]) {
       const Edge& pedge = pattern_.edge(ref.edge);
@@ -286,6 +301,12 @@ bool SubgraphMatcher::TryCandidate(std::size_t depth, VertexId t) {
       target_->InDegree(t) < p_in_degree_[depth]) {
     return true;
   }
+  for (const auto& [label, need] : out_label_floor_[depth]) {
+    if (target_->OutArcs(t, label).size() < need) return true;
+  }
+  for (const auto& [label, need] : in_label_floor_[depth]) {
+    if (target_->InArcs(t, label).size() < need) return true;
+  }
   for (const Requirement& req : requirements_[depth]) {
     const VertexId image = vi[req.other];
     const std::size_t available =
@@ -324,13 +345,18 @@ bool SubgraphMatcher::TryCandidate(std::size_t depth, VertexId t) {
 }
 
 bool SubgraphMatcher::Extend(std::size_t depth) {
-  if (stopped_) return false;
+  if (exhausted_) return false;
   if (options_->max_search_steps != 0 &&
       ++steps_ > options_->max_search_steps) {
-    stopped_ = true;
+    exhausted_ = true;
     return false;
   }
-  if (depth == order_.size()) return EmitCurrentEmbedding();
+  if (depth == order_.size()) {
+    if (callback_ != nullptr) return EmitCurrentEmbedding();
+    ++emitted_;
+    if (first_ != nullptr) *first_ = scratch_->vertex_image;
+    return false;
+  }
 
   if (has_anchor_[depth]) {
     // Build the candidate domain as a bitmap from the label subrange of
@@ -379,14 +405,16 @@ bool SubgraphMatcher::Extend(std::size_t depth) {
   return true;
 }
 
-std::uint64_t SubgraphMatcher::ForEachEmbedding(
+std::uint64_t SubgraphMatcher::Run(
     const GraphView& target, const MatchOptions& options,
-    const std::function<bool(const Embedding&)>& fn) {
+    const std::function<bool(const Embedding&)>* callback,
+    std::vector<VertexId>* first) {
   common::ScratchLease<MatchScratch> scratch;
   scratch_ = scratch.get();
   target_ = &target;
   options_ = &options;
-  callback_ = &fn;
+  callback_ = callback;
+  first_ = first;
   scratch_->vertex_image.assign(pattern_.num_vertices(), kInvalidVertex);
   scratch_->used.EnsureBits(target.num_vertices());
   // Full clear (not touched-range): a callback abort can unwind past the
@@ -397,7 +425,7 @@ std::uint64_t SubgraphMatcher::ForEachEmbedding(
   }
   emitted_ = 0;
   steps_ = 0;
-  stopped_ = false;
+  exhausted_ = false;
   if (pattern_.num_vertices() <= target.num_vertices() &&
       pattern_.num_edges() <= target.num_edges()) {
     Extend(0);
@@ -407,10 +435,21 @@ std::uint64_t SubgraphMatcher::ForEachEmbedding(
   return emitted_;
 }
 
+std::uint64_t SubgraphMatcher::ForEachEmbedding(
+    const GraphView& target, const MatchOptions& options,
+    const std::function<bool(const Embedding&)>& fn) {
+  return Run(target, options, &fn, nullptr);
+}
+
 bool SubgraphMatcher::Contains(const GraphView& target,
                                const MatchOptions& options) {
-  return ForEachEmbedding(target, options,
-                          [](const Embedding&) { return false; }) > 0;
+  return Run(target, options, nullptr, nullptr) > 0;
+}
+
+bool SubgraphMatcher::FirstOccurrence(const GraphView& target,
+                                      const MatchOptions& options,
+                                      std::vector<VertexId>* vertex_map) {
+  return Run(target, options, nullptr, vertex_map) > 0;
 }
 
 std::uint64_t SubgraphMatcher::CountEmbeddings(const GraphView& target,

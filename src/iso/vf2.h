@@ -32,8 +32,9 @@ struct MatchOptions {
   /// target's edge_capacity()).
   const std::vector<char>* forbidden_target_edges = nullptr;
   /// Abort the search after this many recursive extensions (0 = unlimited);
-  /// a safety valve against pathological workloads. When tripped, the
-  /// matcher behaves as if no further embeddings exist.
+  /// a safety valve against pathological workloads. When tripped, the run
+  /// visits no further embeddings and SubgraphMatcher::exhausted() reports
+  /// it, so a caller can tell "none left" from "stopped looking".
   std::uint64_t max_search_steps = 0;
   /// Induced matching (AGM-style semantics, the paper's [10]): between
   /// every pair of mapped vertices the target must carry *exactly* the
@@ -50,10 +51,11 @@ struct MatchOptions {
 /// which is the semantics FSG/gSpan support counting requires.
 ///
 /// Construction compiles the PATTERN into a search plan (placement order,
-/// per-depth requirement tallies, emit groups); targets are bound per
-/// call as prebuilt graph::GraphView snapshots. One plan can therefore be
-/// reused against many targets — the FSG support-counting loop builds one
-/// matcher per candidate and runs it over every transaction view. The
+/// per-depth requirement tallies, per-(label, direction) degree floors,
+/// emit groups); targets are bound per call as prebuilt graph::GraphView
+/// snapshots. One plan can therefore be reused against many targets — the
+/// FSG support-counting loop builds one matcher per candidate and runs it
+/// over every transaction view its parent's occurrence does not settle. The
 /// per-run search state lives in a per-thread scratch lease, so repeated
 /// runs on a warmed thread do not allocate.
 class SubgraphMatcher {
@@ -74,11 +76,23 @@ class SubgraphMatcher {
   bool Contains(const graph::GraphView& target,
                 const MatchOptions& options = {});
 
+  /// The vertex map of the first embedding ForEachEmbedding would visit,
+  /// written to `vertex_map` without building its edge map. Returns false
+  /// (leaving `vertex_map` alone) when the run found none.
+  bool FirstOccurrence(const graph::GraphView& target,
+                       const MatchOptions& options,
+                       std::vector<graph::VertexId>* vertex_map);
+
   /// Counts embeddings in `target`, stopping early at `limit` when
   /// nonzero.
   std::uint64_t CountEmbeddings(const graph::GraphView& target,
                                 std::uint64_t limit = 0,
                                 const MatchOptions& options = {});
+
+  /// True when the last run stopped because it hit
+  /// MatchOptions::max_search_steps: a "no" (or a short count) from that
+  /// run says nothing about the embeddings it did not reach.
+  bool exhausted() const { return exhausted_; }
 
  private:
   struct MatchScratch;  // per-run search state, pooled per thread
@@ -123,6 +137,13 @@ class SubgraphMatcher {
   };
 
   void BuildPlan();
+  /// One search over `target`. With a callback every embedding is emitted
+  /// to it; without one the run stops at the first embedding and copies
+  /// its vertex images to `first` (when non-null).
+  std::uint64_t Run(const graph::GraphView& target,
+                    const MatchOptions& options,
+                    const std::function<bool(const Embedding&)>* callback,
+                    std::vector<graph::VertexId>* first);
   bool Extend(std::size_t depth);
   bool TryCandidate(std::size_t depth, graph::VertexId t);
   bool EmitCurrentEmbedding();
@@ -134,6 +155,10 @@ class SubgraphMatcher {
   std::vector<graph::Label> want_label_;
   std::vector<std::uint32_t> p_out_degree_;
   std::vector<std::uint32_t> p_in_degree_;
+  // Per-(label, direction) degree floors: a target vertex needs at least
+  // this many out-/in-arcs of each label to play the depth's vertex.
+  std::vector<LabelTally> out_label_floor_;
+  std::vector<LabelTally> in_label_floor_;
   std::vector<std::vector<Requirement>> requirements_;
   std::vector<LabelTally> self_loop_need_;
   std::vector<Anchor> anchors_;  // valid when has_anchor_[depth]
@@ -146,10 +171,11 @@ class SubgraphMatcher {
   const graph::GraphView* target_ = nullptr;
   const MatchOptions* options_ = nullptr;
   const std::function<bool(const Embedding&)>* callback_ = nullptr;
+  std::vector<graph::VertexId>* first_ = nullptr;
   MatchScratch* scratch_ = nullptr;
   std::uint64_t emitted_ = 0;
   std::uint64_t steps_ = 0;
-  bool stopped_ = false;
+  bool exhausted_ = false;
 };
 
 /// Convenience wrappers (snapshot the target per call; hot loops should

@@ -11,8 +11,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/budget.h"
 #include "common/random.h"
+#include "common/telemetry.h"
 #include "graph/algorithms.h"
+#include "graph/graph_view.h"
 #include "gspan/gspan.h"
 #include "iso/canonical.h"
 #include "iso/vf2.h"
@@ -362,6 +365,256 @@ TEST(FsgTest, WedgeCheckRolesMatchGspan) {
   EXPECT_EQ(TidsOf(fsg, txns[5]), (Tids{3, 4, 5}));
   EXPECT_EQ(TidsOf(fsg, txns[6]), (Tids{6, 7}));
   EXPECT_EQ(TidsOf(fsg, txns[8]), (Tids{6, 7, 8}));
+}
+
+// Witness-first counting (DESIGN.md §12). A candidate's check first
+// extends one stored occurrence of its generating parent by the added
+// edge and runs VF2 only when that fails, so each Witness case below has
+// a transaction where the parent's first occurrence does not extend.
+
+/// A graph with the given vertex labels and (src, dst, label) edges.
+LabeledGraph Labeled(
+    std::initializer_list<Label> labels,
+    std::initializer_list<std::tuple<VertexId, VertexId, Label>> edges) {
+  LabeledGraph g;
+  for (const Label label : labels) g.AddVertex(label);
+  for (const auto& [src, dst, label] : edges) g.AddEdge(src, dst, label);
+  return g;
+}
+
+/// Every mined pattern's TID set must equal the transactions that
+/// SubgraphMatcher::Contains finds it in.
+void ExpectTidsExact(const FsgResult& r,
+                     const std::vector<LabeledGraph>& txns) {
+  std::vector<graph::GraphView> views(txns.begin(), txns.end());
+  for (const auto& p : r.patterns) {
+    iso::SubgraphMatcher matcher(p.graph);
+    Tids expect;
+    for (std::uint32_t tid = 0; tid < views.size(); ++tid) {
+      if (matcher.Contains(views[tid])) expect.push_back(tid);
+    }
+    EXPECT_EQ(p.tids.ToVector(), expect) << p.graph.DebugString();
+    EXPECT_EQ(p.support, expect.size());
+  }
+}
+
+/// The growth of counter `name` while `fn` runs (0 when telemetry is
+/// compiled out).
+template <typename Fn>
+std::uint64_t CounterDelta(const char* name, Fn&& fn) {
+  auto read = [&] {
+    const auto counters = telemetry::Registry::Global().Snapshot().counters;
+    const auto it = counters.find(name);
+    return it == counters.end() ? std::uint64_t{0} : it->second;
+  };
+  const std::uint64_t before = read();
+  fn();
+  return read() - before;
+}
+
+FsgResult MineUpTo(const std::vector<LabeledGraph>& txns, std::size_t edges) {
+  FsgOptions options;
+  options.min_support = 1;
+  options.max_edges = edges;
+  return MineFsg(txns, options);
+}
+
+TEST(FsgTest, WitnessInnerEdgeNeedsEveryParallelTargetEdge) {
+  // The triple a -> b needs three parallel target edges. t1 has only two;
+  // in t2 the pair VF2 finds first has two and the other pair three; t4's
+  // 4-edge pattern extends a stored 3-edge witness.
+  const std::vector<LabeledGraph> txns = {
+      Multigraph(2, {{0, 1, 5}, {0, 1, 5}, {0, 1, 5}}),
+      Multigraph(2, {{0, 1, 5}, {0, 1, 5}}),
+      Multigraph(4, {{0, 1, 5}, {0, 1, 5}, {2, 3, 5}, {2, 3, 5}, {2, 3, 5}}),
+      Multigraph(3, {{0, 1, 5}, {0, 1, 5}, {0, 2, 5}}),
+      Multigraph(3, {{0, 1, 5}, {0, 1, 5}, {0, 1, 5}, {0, 2, 5}}),
+  };
+  const FsgResult r = MineUpTo(txns, 4);
+  ExpectTidsExact(r, txns);
+  EXPECT_EQ(TidsOf(r, txns[0]), (Tids{0, 2, 4}));
+  EXPECT_EQ(TidsOf(r, txns[4]), Tids{4});
+}
+
+TEST(FsgTest, WitnessSelfLoopNeedsEveryLoopOnTheImage) {
+  // Two label-6 loops on the edge's source: t1 has one loop at each end,
+  // and t2's first occurrence of "edge plus one loop" has a single loop.
+  const std::vector<LabeledGraph> txns = {
+      Multigraph(2, {{0, 1, 5}, {0, 0, 6}, {0, 0, 6}}),
+      Multigraph(2, {{0, 1, 5}, {0, 0, 6}, {1, 1, 6}}),
+      Multigraph(4, {{0, 1, 5}, {0, 0, 6}, {2, 3, 5}, {2, 2, 6}, {2, 2, 6}}),
+  };
+  const FsgResult r = MineUpTo(txns, 3);
+  ExpectTidsExact(r, txns);
+  EXPECT_EQ(TidsOf(r, txns[0]), (Tids{0, 2}));
+}
+
+TEST(FsgTest, WitnessNewVertexSkipsMappedNeighbours) {
+  // A label-0 hub with three distinct label-1 leaves. In t0 the hub's
+  // only label-1 neighbours are the two leaves the 2-leaf witness maps
+  // (one of them twice over), so the extension must not reuse them; t3
+  // asks the same of a new vertex on the hub's in-side.
+  const std::vector<LabeledGraph> txns = {
+      Labeled({0, 1, 1}, {{0, 1, 5}, {0, 1, 5}, {0, 2, 5}}),
+      Labeled({0, 1, 1, 1}, {{0, 1, 5}, {0, 2, 5}, {0, 3, 5}}),
+      Labeled({0, 1, 1, 2}, {{0, 1, 5}, {0, 2, 5}, {0, 3, 5}}),
+      Labeled({1, 1, 0}, {{2, 0, 5}, {2, 1, 5}, {1, 2, 5}, {0, 2, 5}}),
+  };
+  const FsgResult r = MineUpTo(txns, 3);
+  ExpectTidsExact(r, txns);
+  EXPECT_EQ(TidsOf(r, txns[1]), Tids{1});
+  EXPECT_EQ(TidsOf(r, txns[0]), Tids{0});
+}
+
+TEST(FsgTest, WitnessThatDoesNotExtendFallsBackToVf2) {
+  // Each transaction holds two copies of the parent. Only the copy with
+  // the higher vertex ids, which VF2 finds second, carries the added edge:
+  // a label-6 tail after a 2-path (level 3), and a label-7 tail after a
+  // 3-path (level 4, extending a stored witness).
+  const std::vector<LabeledGraph> txns = {
+      Multigraph(7, {{0, 1, 5}, {1, 2, 5}, {3, 4, 5}, {4, 5, 5}, {5, 6, 6}}),
+      Multigraph(9, {{0, 1, 5}, {1, 2, 5}, {2, 3, 6}, {4, 5, 5}, {5, 6, 5},
+                     {6, 7, 6}, {7, 8, 7}}),
+  };
+  std::uint64_t hits = 0;
+  FsgResult r;
+  const std::uint64_t checks = CounterDelta("fsg/support_checks", [&] {
+    hits = CounterDelta("fsg/witness_hits", [&] { r = MineUpTo(txns, 4); });
+  });
+  ExpectTidsExact(r, txns);
+  const LabeledGraph path3 = Multigraph(4, {{0, 1, 5}, {1, 2, 5}, {2, 3, 6}});
+  const LabeledGraph path4 =
+      Multigraph(5, {{0, 1, 5}, {1, 2, 5}, {2, 3, 6}, {3, 4, 7}});
+  EXPECT_EQ(TidsOf(r, path3), (Tids{0, 1}));
+  EXPECT_EQ(TidsOf(r, path4), Tids{1});
+  EXPECT_LE(hits, checks);
+#if TNMINE_TELEMETRY_ENABLED
+  EXPECT_GT(hits, 0u);
+#endif
+}
+
+/// Random multigraphs with parallel edges and self-loops, over
+/// `vertex_labels` vertex labels and `edge_labels` edge labels.
+std::vector<LabeledGraph> RandomMultigraphs(std::uint64_t seed,
+                                            std::size_t count,
+                                            std::size_t vertices,
+                                            std::size_t edges,
+                                            std::uint64_t vertex_labels = 2,
+                                            std::uint64_t edge_labels = 3) {
+  Rng rng(seed);
+  std::vector<LabeledGraph> txns;
+  for (std::size_t t = 0; t < count; ++t) {
+    LabeledGraph g;
+    for (std::size_t i = 0; i < vertices; ++i) {
+      g.AddVertex(static_cast<Label>(rng.NextBounded(vertex_labels)));
+    }
+    for (std::size_t i = 0; i < edges; ++i) {
+      const auto src = static_cast<VertexId>(rng.NextBounded(vertices));
+      const auto dst = rng.NextBounded(6) == 0
+                           ? src
+                           : static_cast<VertexId>(rng.NextBounded(vertices));
+      const auto label = static_cast<Label>(rng.NextBounded(edge_labels));
+      g.AddEdge(src, dst, label);
+      if (rng.NextBounded(5) == 0) g.AddEdge(src, dst, label);
+    }
+    txns.push_back(std::move(g));
+  }
+  return txns;
+}
+
+TEST(FsgTest, RandomMultigraphTidsMatchContains) {
+  // Two vertex and three edge labels, then one vertex and two edge labels
+  // (dense, like the OD partitions): level-4 checks extend the witnesses
+  // level 3 stored.
+  for (const std::uint64_t seed : {21u, 22u, 23u}) {
+    for (const bool dense : {false, true}) {
+      const auto txns = dense ? RandomMultigraphs(seed, 32, 6, 12, 1, 2)
+                              : RandomMultigraphs(seed, 16, 5, 12);
+      FsgOptions options;
+      options.min_support = dense ? 8 : 3;
+      options.max_edges = 5;
+      const FsgResult r = MineFsg(txns, options);
+      ASSERT_EQ(r.outcome, common::MiningOutcome::kComplete);
+      ASSERT_GE(r.levels_completed, 4u) << "seed " << seed;
+      ExpectTidsExact(r, txns);
+    }
+  }
+}
+
+TEST(FsgTest, MatchStepCapEndsTheLevelInsteadOfUndercounting) {
+  // One VF2 step cannot find a triangle, nor the wedge occurrence its
+  // witness would extend: every level-3 check hits the cap.
+  std::vector<LabeledGraph> txns;
+  for (int i = 0; i < 4; ++i) txns.push_back(Triangle(0, 1));
+  FsgOptions options;
+  options.min_support = 4;
+  options.max_match_steps = 1;
+  FsgResult r;
+  const std::uint64_t exhausted = CounterDelta(
+      "fsg/match_steps_exhausted", [&] { r = MineFsg(txns, options); });
+  EXPECT_EQ(r.outcome, common::MiningOutcome::kDeadlineExceeded);
+  EXPECT_EQ(r.levels_completed, 2u);
+  for (const auto& p : r.patterns) EXPECT_LE(p.graph.num_edges(), 2u);
+  ExpectTidsExact(r, txns);
+#if TNMINE_TELEMETRY_ENABLED
+  EXPECT_GT(exhausted, 0u);
+#endif
+  (void)exhausted;
+  // Without the cap the same run completes and finds the triangle.
+  options.max_match_steps = 0;
+  const FsgResult full = MineFsg(txns, options);
+  EXPECT_EQ(full.outcome, common::MiningOutcome::kComplete);
+  EXPECT_EQ(TidsOf(full, Triangle(0, 1)), (Tids{0, 1, 2, 3}));
+}
+
+TEST(FsgTest, MemoryCeilingChangesWitnessesNotOutput) {
+  const auto txns = RandomMultigraphs(31, 32, 6, 12, 1, 2);
+  FsgOptions options;
+  options.min_support = 12;
+  options.max_edges = 4;
+  // Mines under `ceiling` bytes (0: none, but still metered) and returns
+  // the parent-occurrence searches the run made.
+  auto mine = [&](std::uint64_t ceiling, FsgResult* r) {
+    common::BudgetLimits limits;
+    limits.max_memory_bytes = ceiling;
+    options.budget = common::ResourceBudget(limits);
+    const std::uint64_t searches = CounterDelta(
+        "fsg/parent_searches", [&] { *r = MineFsg(txns, options); });
+    EXPECT_EQ(options.budget.memory_charged(), 0u) << "ceiling " << ceiling;
+    return searches;
+  };
+  FsgResult reference;
+  const std::uint64_t searches = mine(0, &reference);
+  ASSERT_EQ(reference.outcome, common::MiningOutcome::kComplete);
+  ASSERT_EQ(reference.levels_completed, 4u);
+  // The tightest ceiling the run completes under. Stored witnesses do
+  // not fit beside the last level's candidates there, so they are dropped
+  // and the children search for their parents' occurrences again; what
+  // is mined must not change.
+  std::uint64_t fails = 0;
+  std::uint64_t completes = std::uint64_t{1} << 24;
+  FsgResult r;
+  (void)mine(completes, &r);
+  ASSERT_EQ(r.outcome, common::MiningOutcome::kComplete);
+  while (completes - fails > 1) {
+    const std::uint64_t mid = fails + (completes - fails) / 2;
+    (void)mine(mid, &r);
+    if (r.outcome == common::MiningOutcome::kComplete) {
+      completes = mid;
+    } else {
+      fails = mid;
+    }
+  }
+  const std::uint64_t tight_searches = mine(completes, &r);
+  ASSERT_EQ(r.outcome, common::MiningOutcome::kComplete);
+  EXPECT_EQ(ByCode(r.patterns), ByCode(reference.patterns));
+  EXPECT_EQ(r.work_ticks, reference.work_ticks);
+  EXPECT_EQ(r.candidates_per_level, reference.candidates_per_level);
+#if TNMINE_TELEMETRY_ENABLED
+  EXPECT_GT(tight_searches, searches);
+#endif
+  (void)tight_searches;
+  (void)searches;
 }
 
 TEST(FsgTest, SelfLoopPatterns) {

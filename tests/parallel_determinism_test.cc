@@ -209,13 +209,16 @@ TEST(ParallelVf2Test, SharedViewsMatchSequentialCounts) {
 
 /// Deltas of the snapshot/scratch telemetry across one mining run. Unlike
 /// threadpool/*, these are part of the determinism contract (DESIGN.md
-/// §9): graphview/* and scratch/acquires must not depend on the thread
-/// count. (scratch/reuse_hits and scratch/fresh_allocs DO depend on which
-/// thread ran what, and are deliberately absent here.)
+/// §9): graphview/*, FSG's witness counters and scratch/acquires must not
+/// depend on the thread count. (scratch/reuse_hits and
+/// scratch/fresh_allocs DO depend on which thread ran what, and are
+/// deliberately absent here.)
 std::vector<std::uint64_t> KernelCounterDeltas(std::size_t threads) {
   static const char* kNames[] = {"graphview/views_built",
                                  "graphview/vertices_snapshot",
-                                 "graphview/edges_snapshot"};
+                                 "graphview/edges_snapshot",
+                                 "fsg/witness_hits",
+                                 "fsg/parent_searches"};
   const auto txns = TestTransactions(505);
   const auto before = telemetry::Registry::Global().Snapshot().counters;
   const common::ScratchStats scratch_before = common::GetScratchStats();

@@ -297,6 +297,42 @@ TEST(Vf2Test, SearchStepBudgetAborts) {
   MatchOptions options;
   options.max_search_steps = 1;
   EXPECT_EQ(matcher.CountEmbeddings(view, 0, options), 0u);
+  EXPECT_TRUE(matcher.exhausted());
+  std::vector<VertexId> images;
+  EXPECT_FALSE(matcher.FirstOccurrence(view, options, &images));
+  EXPECT_TRUE(matcher.exhausted());
+  // The same matcher without the cap: a complete search, not exhausted.
+  EXPECT_EQ(matcher.CountEmbeddings(view), 10u * 9u * 8u);
+  EXPECT_FALSE(matcher.exhausted());
+}
+
+TEST(Vf2Test, LabelDegreeFloorRejectsWrongLabelMix) {
+  // The pattern hub needs two out-arcs labelled 1 and one in-arc
+  // labelled 2. Each target hub has enough arcs in total but lacks one
+  // of those (label, direction) pairs; only the last one has them all.
+  LabeledGraph pattern;
+  const VertexId hub = pattern.AddVertex(0);
+  pattern.AddEdge(hub, pattern.AddVertex(0), 1);
+  pattern.AddEdge(hub, pattern.AddVertex(0), 1);
+  pattern.AddEdge(pattern.AddVertex(0), hub, 2);
+  LabeledGraph target;
+  auto add_hub = [&](Label out_a, Label out_b, Label in) {
+    const VertexId h = target.AddVertex(0);
+    target.AddEdge(h, target.AddVertex(0), out_a);
+    target.AddEdge(h, target.AddVertex(0), out_b);
+    target.AddEdge(target.AddVertex(0), h, in);
+    return h;
+  };
+  add_hub(1, 2, 2);  // one label-1 out-arc short
+  add_hub(1, 1, 1);  // in-arc has the wrong label
+  SubgraphMatcher matcher(pattern);
+  EXPECT_FALSE(matcher.Contains(GraphView(target)));
+  const VertexId good = add_hub(1, 1, 2);
+  const GraphView view(target);
+  std::vector<VertexId> images;
+  ASSERT_TRUE(matcher.FirstOccurrence(view, {}, &images));
+  EXPECT_EQ(images[hub], good);
+  EXPECT_EQ(matcher.CountEmbeddings(view), 2u);  // the two leaves swap
 }
 
 TEST(Vf2InducedTest, ExtraEdgeBlocksInducedMatch) {
@@ -358,41 +394,97 @@ TEST(Vf2InducedTest, SelfLoopExactness) {
   EXPECT_FALSE(ContainsInducedSubgraph(pattern, target));
 }
 
-// Property test: VF2 count equals brute force on random small graphs.
+/// Adds `count` random edges to `g` over `edge_labels` labels. Some are
+/// repeated (parallel edges) and some are self-loops, so the graphs are
+/// genuine multigraphs.
+void AddRandomMultiEdges(Rng& rng, LabeledGraph& g, std::size_t count,
+                         std::uint64_t edge_labels) {
+  const std::size_t n = g.num_vertices();
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto src = static_cast<VertexId>(rng.NextBounded(n));
+    const auto dst = rng.NextBounded(5) == 0
+                         ? src
+                         : static_cast<VertexId>(rng.NextBounded(n));
+    const auto label = static_cast<Label>(rng.NextBounded(edge_labels));
+    g.AddEdge(src, dst, label);
+    if (rng.NextBounded(4) == 0) g.AddEdge(src, dst, label);
+  }
+}
+
+/// True when `images` maps `pattern` into `target` as a monomorphism:
+/// injective, label-preserving, with enough parallel target edges of each
+/// (src, dst, label).
+bool IsEmbedding(const LabeledGraph& pattern, const LabeledGraph& target,
+                 const std::vector<VertexId>& images) {
+  if (images.size() != pattern.num_vertices()) return false;
+  std::set<VertexId> distinct(images.begin(), images.end());
+  if (distinct.size() != images.size()) return false;
+  for (VertexId p = 0; p < pattern.num_vertices(); ++p) {
+    if (images[p] >= target.num_vertices() ||
+        pattern.vertex_label(p) != target.vertex_label(images[p])) {
+      return false;
+    }
+  }
+  std::map<std::tuple<VertexId, VertexId, Label>, int> need;
+  pattern.ForEachEdge([&](EdgeId e) {
+    const auto& edge = pattern.edge(e);
+    ++need[{images[edge.src], images[edge.dst], edge.label}];
+  });
+  target.ForEachEdge([&](EdgeId e) {
+    const auto& edge = target.edge(e);
+    --need[{edge.src, edge.dst, edge.label}];
+  });
+  for (const auto& [key, missing] : need) {
+    if (missing > 0) return false;
+  }
+  return true;
+}
+
+// Property test: VF2 count equals brute force on random small multigraphs
+// with several edge labels, parallel edges and self-loops; the
+// first-occurrence query agrees with Contains, with the count, and with
+// the first embedding the enumeration visits.
 class Vf2RandomTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(Vf2RandomTest, MatchesBruteForce) {
   Rng rng(GetParam());
-  for (int trial = 0; trial < 30; ++trial) {
-    // Random target: 4-6 vertices, up to 10 edges, small label alphabets.
+  for (int trial = 0; trial < 60; ++trial) {
+    // Random target: 4-6 vertices, 3-12 edge draws, 2 vertex labels and
+    // 3 edge labels.
     LabeledGraph target;
     const std::size_t nt = 4 + rng.NextBounded(3);
     for (std::size_t i = 0; i < nt; ++i) {
       target.AddVertex(static_cast<Label>(rng.NextBounded(2)));
     }
-    const std::size_t et = 3 + rng.NextBounded(8);
-    for (std::size_t i = 0; i < et; ++i) {
-      target.AddEdge(static_cast<VertexId>(rng.NextBounded(nt)),
-                     static_cast<VertexId>(rng.NextBounded(nt)),
-                     static_cast<Label>(rng.NextBounded(2)));
-    }
-    // Random pattern: 2-3 vertices, 1-3 edges.
+    AddRandomMultiEdges(rng, target, 3 + rng.NextBounded(10), 3);
+    // Random pattern: 2-4 vertices, 1-4 edge draws.
     LabeledGraph pattern;
-    const std::size_t np = 2 + rng.NextBounded(2);
+    const std::size_t np = 2 + rng.NextBounded(3);
     for (std::size_t i = 0; i < np; ++i) {
       pattern.AddVertex(static_cast<Label>(rng.NextBounded(2)));
     }
-    const std::size_t ep = 1 + rng.NextBounded(3);
-    for (std::size_t i = 0; i < ep; ++i) {
-      pattern.AddEdge(static_cast<VertexId>(rng.NextBounded(np)),
-                      static_cast<VertexId>(rng.NextBounded(np)),
-                      static_cast<Label>(rng.NextBounded(2)));
-    }
+    AddRandomMultiEdges(rng, pattern, 1 + rng.NextBounded(4), 3);
     const std::uint64_t expected = BruteForceCount(pattern, target);
-    const std::uint64_t actual = CountEmbeddings(pattern, target);
+    SubgraphMatcher matcher(pattern);
+    const GraphView view(target);
+    const std::uint64_t actual = matcher.CountEmbeddings(view);
     ASSERT_EQ(actual, expected)
         << "trial " << trial << "\npattern:\n" << pattern.DebugString()
         << "target:\n" << target.DebugString();
+    std::vector<VertexId> first_visited;
+    matcher.ForEachEmbedding(view, {}, [&](const Embedding& emb) {
+      first_visited = emb.vertex_map;
+      return false;
+    });
+    std::vector<VertexId> images;
+    const bool found = matcher.FirstOccurrence(view, {}, &images);
+    EXPECT_FALSE(matcher.exhausted());
+    ASSERT_EQ(found, expected > 0) << "trial " << trial;
+    ASSERT_EQ(matcher.Contains(view), found) << "trial " << trial;
+    if (found) {
+      EXPECT_TRUE(IsEmbedding(pattern, target, images)) << "trial " << trial;
+      EXPECT_EQ(images, first_visited) << "trial " << trial;
+    }
   }
 }
 
