@@ -10,6 +10,8 @@
 // depth-first surfaces chains.
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/stopwatch.h"
@@ -21,6 +23,25 @@
 using namespace tnmine;
 
 namespace {
+
+/// Shape census over the patterns with at least `min_edges` edges.
+void PrintShapeCensus(const std::vector<const pattern::FrequentPattern*>& ps,
+                      std::size_t min_edges) {
+  std::size_t hubs = 0, chains = 0, cycles = 0, other = 0;
+  for (const auto* p : ps) {
+    if (p->graph.num_edges() < min_edges) continue;
+    switch (pattern::ClassifyShape(p->graph)) {
+      case pattern::PatternShape::kHubAndSpoke: ++hubs; break;
+      case pattern::PatternShape::kChain: ++chains; break;
+      case pattern::PatternShape::kCycle: ++cycles; break;
+      default: ++other; break;
+    }
+  }
+  std::printf(
+      "shape census (>=%zu edges): hub-and-spoke=%zu chain=%zu cycle=%zu "
+      "other=%zu\n",
+      min_edges, hubs, chains, cycles, other);
+}
 
 void ShowTop(const core::StructuralMiningResult& result,
              const Discretizer& bins, pattern::PatternShape want_shape,
@@ -39,21 +60,7 @@ void ShowTop(const core::StructuralMiningResult& result,
     }
     if (shown >= 4 && shape_shown) break;
   }
-  // Shape census over multi-edge patterns.
-  std::size_t hubs = 0, chains = 0, cycles = 0, other = 0;
-  for (const auto* p : ranked) {
-    if (p->graph.num_edges() < 2) continue;
-    switch (pattern::ClassifyShape(p->graph)) {
-      case pattern::PatternShape::kHubAndSpoke: ++hubs; break;
-      case pattern::PatternShape::kChain: ++chains; break;
-      case pattern::PatternShape::kCycle: ++cycles; break;
-      default: ++other; break;
-    }
-  }
-  std::printf(
-      "shape census (>=2 edges): hub-and-spoke=%zu chain=%zu cycle=%zu "
-      "other=%zu\n",
-      hubs, chains, cycles, other);
+  PrintShapeCensus(ranked, 2);
 }
 
 }  // namespace
@@ -107,12 +114,27 @@ int main() {
     // below the headline support threshold — so surface the long chains
     // at a comparable support level.
     std::printf("\nLonger chains at support 60 (the Figure-3 pattern's own "
-                "frequency level):\n");
+                "frequency level), up to 6 edges:\n");
     options.min_support = 60;
-    options.max_pattern_edges = 3;
+    options.max_pattern_edges = 6;
+    Stopwatch low_sw;
     const auto low = core::MineStructuralPatterns(od.graph, options);
+    bench::Row("runtime seconds (support 60)", low_sw.ElapsedSeconds());
+    bench::Row("frequent patterns (support 60)", low.registry.size());
+    const auto low_patterns = low.registry.SortedBySupport();
+    std::vector<std::size_t> by_size(options.max_pattern_edges + 1);
+    for (const auto* p : low_patterns) ++by_size[p->graph.num_edges()];
+    std::string sizes;
+    for (std::size_t edges = 1; edges < by_size.size(); ++edges) {
+      if (edges > 1) sizes += ' ';
+      sizes += std::to_string(edges);
+      sizes += ':';
+      sizes += std::to_string(by_size[edges]);
+    }
+    bench::Row("patterns by edges (support 60)", sizes);
+    PrintShapeCensus(low_patterns, 4);
     const pattern::FrequentPattern* longest_chain = nullptr;
-    for (const auto* p : low.registry.SortedBySupport()) {
+    for (const auto* p : low_patterns) {
       if (p->graph.num_edges() >= 3 &&
           pattern::ClassifyShape(p->graph) == pattern::PatternShape::kChain) {
         if (longest_chain == nullptr ||

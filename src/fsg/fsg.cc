@@ -73,11 +73,13 @@ LabeledGraph OneEdgePattern(const EdgeType& t, bool self_loop) {
 }
 
 /// Removes edge `drop` from `g`, drops isolated vertices, and returns the
-/// result; used for the downward-closure check.
-LabeledGraph WithoutEdge(const LabeledGraph& g, EdgeId drop) {
+/// result; `vertex_map`, when non-null, receives old -> new vertex ids
+/// (kInvalidVertex for a dropped vertex).
+LabeledGraph WithoutEdge(const LabeledGraph& g, EdgeId drop,
+                         std::vector<VertexId>* vertex_map = nullptr) {
   LabeledGraph copy = g;
   copy.RemoveEdge(drop);
-  return copy.Compact(/*drop_isolated_vertices=*/true);
+  return copy.Compact(/*drop_isolated_vertices=*/true, vertex_map);
 }
 
 /// Dense edge-type ids, assigned in first-seen order and kept for the
@@ -278,50 +280,6 @@ void AppendWedgeKeys(const graph::GraphView& t,
   }
 }
 
-/// Exact isomorphism test for the tiny dense pattern graphs extension
-/// dedup compares: tries every label-respecting vertex bijection and
-/// matches the translated edge multiset. Callers bucket by
-/// iso::InvariantHash first, so inputs already agree on counts and
-/// degrees; past a handful of vertices it falls back to canonical codes
-/// instead of enumerating permutations.
-bool SmallGraphsIsomorphic(const LabeledGraph& a, const LabeledGraph& b) {
-  const std::size_t n = a.num_vertices();
-  if (n != b.num_vertices() || a.num_edges() != b.num_edges()) return false;
-  if (n > 8) {
-    return iso::CanonicalCodeCached(a) == iso::CanonicalCodeCached(b);
-  }
-  std::vector<std::tuple<VertexId, VertexId, Label>> b_edges;
-  b_edges.reserve(b.num_edges());
-  b.ForEachEdge([&](EdgeId e) {
-    const Edge& ed = b.edge(e);
-    b_edges.emplace_back(ed.src, ed.dst, ed.label);
-  });
-  std::sort(b_edges.begin(), b_edges.end());
-  std::vector<VertexId> perm(n);
-  for (std::size_t v = 0; v < n; ++v) perm[v] = static_cast<VertexId>(v);
-  std::vector<std::tuple<VertexId, VertexId, Label>> mapped;
-  mapped.reserve(a.num_edges());
-  do {
-    bool labels_ok = true;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (a.vertex_label(static_cast<VertexId>(v)) !=
-          b.vertex_label(perm[v])) {
-        labels_ok = false;
-        break;
-      }
-    }
-    if (!labels_ok) continue;
-    mapped.clear();
-    a.ForEachEdge([&](EdgeId e) {
-      const Edge& ed = a.edge(e);
-      mapped.emplace_back(perm[ed.src], perm[ed.dst], ed.label);
-    });
-    std::sort(mapped.begin(), mapped.end());
-    if (mapped == b_edges) return true;
-  } while (std::next_permutation(perm.begin(), perm.end()));
-  return false;
-}
-
 /// Returns `*bytes` to `budget` when the scope ends, however it ends.
 struct MemoryRelease {
   const common::ResourceBudget* budget;
@@ -369,6 +327,174 @@ bool ExtendWitness(const graph::GraphView& t,
     return true;
   }
   return false;
+}
+
+/// "No pattern": a bridge's core, an infrequent edge type's level-1
+/// index, a disconnected sub-pattern's index.
+constexpr std::uint32_t kNoPattern = ~std::uint32_t{0};
+
+/// Aut(Q) is enumerated up to this many maps. A core with more (up to 5
+/// edges only a 5-spoke hub reaches it, with 120) has no pattern
+/// registered under it; generation codes the sub-patterns it would name.
+constexpr std::size_t kMaxAutomorphisms = 120;
+
+/// Edge f of a frontier pattern P and what removing it leaves
+/// (DESIGN.md §12, "Core tables").
+struct CoreRow {
+  /// Previous-level index of the core P − f, or kNoPattern when f is a
+  /// bridge whose removal leaves two parts with edges.
+  std::uint32_t core = kNoPattern;
+  /// False when the core has more than kMaxAutomorphisms automorphisms.
+  bool registered = true;
+  /// For a core: P's vertex -> the core's vertex, kInvalidVertex for the
+  /// vertex f leaves isolated. For a bridge: each vertex's part, 0 or 1.
+  std::vector<VertexId> map;
+};
+
+/// An edge added to a core, in the core's numbering: kInvalidVertex is
+/// the new vertex, labelled `fresh_label` (0 when both ends are old).
+struct CoreKey {
+  std::uint32_t core;
+  VertexId src;
+  VertexId dst;
+  Label label;
+  Label fresh_label;
+
+  bool operator==(const CoreKey&) const = default;
+};
+
+struct CoreKeyHash {
+  std::size_t operator()(const CoreKey& k) const {
+    std::uint64_t h = k.core;
+    for (const std::uint64_t x :
+         {std::uint64_t{k.src}, std::uint64_t{k.dst},
+          std::uint64_t{static_cast<std::uint32_t>(k.label)},
+          std::uint64_t{static_cast<std::uint32_t>(k.fresh_label)}}) {
+      h = (h ^ x) * 0x9E3779B97F4A7C15ULL;
+    }
+    return static_cast<std::size_t>(h ^ (h >> 29));
+  }
+};
+
+/// The frontier's rows, and every (core, added edge) that grows a core
+/// into a frontier pattern, mapped to that pattern's index.
+struct CoreTable {
+  std::vector<std::vector<CoreRow>> rows;
+  std::unordered_map<CoreKey, std::uint32_t, CoreKeyHash> grown;
+  /// Not kComplete when a budget stop cut the build short: the table is
+  /// then partial and must not be read.
+  common::MiningOutcome stopped = common::MiningOutcome::kComplete;
+};
+
+/// Builds the core table of `patterns` (the frontier) over `cores` (the
+/// level before it, named by canonical code in `core_index`). For each
+/// edge g of each pattern R whose removal leaves R connected, R − g is
+/// coded once to name its core Q, and a VF2 occurrence of Q in R − g (the
+/// two have equal size, so it is an isomorphism) maps R's vertices to Q's.
+/// (Q, g mapped) → R is then registered under every automorphism of Q, so
+/// a lookup through any other vertex map of Q finds it too. `budget`'s
+/// shared stop conditions are polled once per pattern and per core.
+CoreTable BuildCoreTable(
+    const std::vector<FrequentPattern>& patterns,
+    const std::vector<LabeledGraph>& cores,
+    const std::unordered_map<std::string, std::uint32_t>& core_index,
+    const common::ResourceBudget& budget,
+    const common::Parallelism& parallelism) {
+  CoreTable table;
+  table.rows.resize(patterns.size());
+  // Stops are sticky, so once a poll sees one every later poll does.
+  auto running = [&] {
+    return budget.StopReason() == common::MiningOutcome::kComplete;
+  };
+  common::ParallelFor(parallelism, patterns.size(), [&](std::size_t r) {
+    if (!running()) return;
+    const LabeledGraph& g = patterns[r].graph;
+    std::vector<CoreRow>& rows = table.rows[r];
+    rows.resize(g.num_edges());
+    std::vector<VertexId> to_sub;
+    std::vector<VertexId> images;
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      const LabeledGraph sub = WithoutEdge(g, e, &to_sub);
+      const graph::ComponentResult parts =
+          graph::WeaklyConnectedComponents(sub);
+      CoreRow& row = rows[e];
+      row.map.resize(g.num_vertices());
+      if (parts.num_components > 1) {
+        // A bridge: no vertex is dropped, and each keeps its part.
+        for (VertexId v = 0; v < g.num_vertices(); ++v) {
+          row.map[v] = parts.component[to_sub[v]];
+        }
+        continue;
+      }
+      const auto it = core_index.find(iso::CanonicalCodeCached(sub));
+      TNMINE_CHECK_MSG(it != core_index.end(),
+                       "a frequent pattern's connected sub-pattern must be "
+                       "frequent");
+      row.core = it->second;
+      iso::SubgraphMatcher matcher(cores[row.core]);
+      TNMINE_CHECK(matcher.FirstOccurrence(graph::GraphView(sub), {},
+                                           &images));
+      std::vector<VertexId> core_of(sub.num_vertices());
+      for (VertexId q = 0; q < images.size(); ++q) core_of[images[q]] = q;
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        row.map[v] = to_sub[v] == graph::kInvalidVertex
+                         ? graph::kInvalidVertex
+                         : core_of[to_sub[v]];
+      }
+    }
+  });
+  // Aut(Q) of every core a row names, by matching Q onto itself.
+  std::vector<std::uint32_t> named;
+  for (const std::vector<CoreRow>& rows : table.rows) {
+    for (const CoreRow& row : rows) {
+      if (row.core != kNoPattern) named.push_back(row.core);
+    }
+  }
+  std::sort(named.begin(), named.end());
+  named.erase(std::unique(named.begin(), named.end()), named.end());
+  std::vector<std::vector<std::vector<VertexId>>> automorphisms(cores.size());
+  common::ParallelFor(parallelism, named.size(), [&](std::size_t i) {
+    if (!running()) return;
+    const LabeledGraph& q = cores[named[i]];
+    std::vector<std::vector<VertexId>>& maps = automorphisms[named[i]];
+    iso::SubgraphMatcher matcher(q);
+    matcher.ForEachEmbedding(graph::GraphView(q), {},
+                             [&](const iso::Embedding& embedding) {
+                               maps.push_back(embedding.vertex_map);
+                               return maps.size() <= kMaxAutomorphisms;
+                             });
+  });
+  // An automorphism fixes the new vertex.
+  const auto image = [](const std::vector<VertexId>& sigma, VertexId v) {
+    return v == graph::kInvalidVertex ? v : sigma[v];
+  };
+  for (std::uint32_t r = 0; r < patterns.size(); ++r) {
+    if (!running()) break;
+    const LabeledGraph& g = patterns[r].graph;
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      CoreRow& row = table.rows[r][e];
+      if (row.core == kNoPattern) continue;
+      if (automorphisms[row.core].size() > kMaxAutomorphisms) {
+        row.registered = false;
+        continue;
+      }
+      const Edge& edge = g.edge(e);
+      const VertexId src = row.map[edge.src];
+      const VertexId dst = row.map[edge.dst];
+      const Label fresh_label =
+          src == graph::kInvalidVertex   ? g.vertex_label(edge.src)
+          : dst == graph::kInvalidVertex ? g.vertex_label(edge.dst)
+                                         : 0;
+      for (const std::vector<VertexId>& sigma : automorphisms[row.core]) {
+        table.grown.emplace(CoreKey{row.core, image(sigma, src),
+                                    image(sigma, dst), edge.label,
+                                    fresh_label},
+                            r);
+      }
+    }
+  }
+  table.stopped = budget.StopReason();
+  return table;
 }
 
 }  // namespace
@@ -587,37 +713,49 @@ FsgResult MineFsg(graph::TransactionSource& source,
     type_index_bytes += sizeof(key) + set->MemoryBytes();
   }
 
-  // TID sets of all frequent patterns at the previous level, keyed by
-  // canonical code. Serves the downward-closure prune (membership) and
-  // the feasibility intersection (each frequent k-edge sub-pattern's set
-  // is a superset of the candidate's support). Shared immutably with the
-  // candidates that reference them.
-  std::unordered_map<std::string, std::shared_ptr<const TidSet>>
-      previous_level_tids;
+  // The frequent patterns of the previous level: each one's index by
+  // canonical code, which names a sub-pattern the core table cannot (the
+  // bridge fallback), and its TID set, a superset of the support of every
+  // candidate it is a sub-pattern of. The sets are shared immutably with
+  // the candidates whose feasibility filters they are.
+  std::unordered_map<std::string, std::uint32_t> previous_index;
+  std::vector<std::shared_ptr<const TidSet>> previous_sets;
   // The frequent 2-edge patterns' sets keyed by wedge key, kept from
   // level 2 on: the wedge check of every later level looks up an
-  // extension's new wedges here, without building the extension.
-  WedgeMap<std::shared_ptr<const TidSet>> frequent_wedges;
+  // extension's new wedges here, without building the extension. At
+  // level 3 a wedge is a sub-pattern, so its level-2 index counts when
+  // naming the extension's canonical parent.
+  struct FrequentWedge {
+    std::shared_ptr<const TidSet> tids;
+    std::uint32_t index;
+  };
+  WedgeMap<FrequentWedge> frequent_wedges;
   auto rebuild_previous = [&](const std::vector<FrequentPattern>& fr) {
-    previous_level_tids.clear();
-    for (const FrequentPattern& p : fr) {
+    previous_index.clear();
+    previous_sets.clear();
+    for (std::size_t i = 0; i < fr.size(); ++i) {
+      const FrequentPattern& p = fr[i];
+      const auto index = static_cast<std::uint32_t>(i);
       auto set = std::make_shared<const TidSet>(p.tids);
-      previous_level_tids.emplace(p.code, set);
+      previous_index.emplace(p.code, index);
       if (p.graph.num_edges() == 2) {
         frequent_wedges.emplace(
             PatternWedgeKey(p.graph, EdgeId{0}, EdgeId{1}, type_ids),
-            std::move(set));
+            FrequentWedge{set, index});
       }
+      previous_sets.push_back(std::move(set));
     }
   };
   rebuild_previous(frontier);
+  // The patterns of the level before the frontier and their indexes by
+  // code: the cores the next core table names.
+  std::vector<LabeledGraph> cores;
+  std::unordered_map<std::string, std::uint32_t> core_index;
 
   auto retained_bytes = [&] {
     std::uint64_t bytes = type_index_bytes;
     for (const FrequentPattern& p : frontier) bytes += EstimateBytes(p);
-    for (const auto& [code, set] : previous_level_tids) {
-      bytes += set->MemoryBytes();
-    }
+    for (const auto& set : previous_sets) bytes += set->MemoryBytes();
     return bytes;
   };
   std::uint64_t frontier_bytes = retained_bytes();
@@ -648,14 +786,21 @@ FsgResult MineFsg(graph::TransactionSource& source,
   };
 
   // ---------------------------------------------------------------------
-  // Levels 2..: extend, dedup, prune, count.
+  // Levels 2..: extend, prune, count.
   std::size_t level = 1;  // edges in current frontier patterns
   while (!frontier.empty() &&
          (options.max_edges == 0 || level < options.max_edges)) {
     ++level;
-    // Opened first, so the teardown of the level's candidate map and
-    // dedup sets at the end of the body falls inside the span.
+    // Opened first, so the teardown of the level's candidates and core
+    // table at the end of the body falls inside the span.
     TNMINE_TRACE_SPAN("fsg/level");
+    // From level 4 on, the closure check looks its sub-patterns up here.
+    CoreTable core;
+    if (level >= 4) {
+      TNMINE_TRACE_SPAN("fsg/core_table");
+      core = BuildCoreTable(frontier, cores, core_index, options.budget,
+                            options.parallelism);
+    }
     // Candidate generation.
     struct Candidate {
       FrequentPattern pattern;  // support/tids empty until counted
@@ -670,7 +815,7 @@ FsgResult MineFsg(graph::TransactionSource& source,
       // takes the set as-is and skips VF2 entirely.
       bool feasible_exact = false;
       // The frontier pattern that generated the candidate (the first to
-      // reach its class) and the edge it added.
+      // reach its class, DESIGN.md §12) and the edge it added.
       std::size_t parent = 0;
       AddedEdge added;
     };
@@ -679,12 +824,11 @@ FsgResult MineFsg(graph::TransactionSource& source,
     // keyed by wedge key; dedup happens here so duplicates never reach the
     // canonical-code cache.
     std::unordered_set<WedgeKey, WedgeKeyHash> level2_seen;
-    // Same idea for 3+ edge extensions: representatives of the classes
-    // already considered, bucketed by invariant hash.
-    std::unordered_map<std::uint64_t, std::vector<LabeledGraph>> ext_classes;
     std::uint64_t candidate_bytes = 0;
     bool oom = false;
-    common::MiningOutcome level_outcome = common::MiningOutcome::kComplete;
+    // A stop that cut the core table short ends the level before
+    // generation reads the table.
+    common::MiningOutcome level_outcome = core.stopped;
     // Bytes charged against the shared memory ceiling for this level's
     // candidate set, released when the level's scope ends (break or not).
     std::uint64_t level_charged = 0;
@@ -694,9 +838,17 @@ FsgResult MineFsg(graph::TransactionSource& source,
     std::uint64_t extensions_considered = 0;
     std::uint64_t wedge_pruned = 0;
     std::uint64_t pruned_closure = 0;
+    std::uint64_t closure_lookups = 0;
+    std::uint64_t closure_fallbacks = 0;
+    std::uint64_t not_canonical = 0;
     std::uint64_t pruned_by_join = 0;
     // The parent's edges with their types interned, once per parent.
     std::vector<TypedEdge> parent_edges;
+    // Per extension at levels >= 4: the index of C − f for each edge f of
+    // the parent (kNoPattern when C − f is disconnected), and the edges f
+    // whose C − f the table cannot name, so it is coded.
+    std::vector<std::uint32_t> sub_index;
+    std::vector<EdgeId> uncovered;
 
     try {
       TNMINE_TRACE_SPAN("fsg/generate");
@@ -705,6 +857,7 @@ FsgResult MineFsg(graph::TransactionSource& source,
         if (oom || level_outcome != common::MiningOutcome::kComplete) break;
         const FrequentPattern& parent = frontier[parent_index];
         const LabeledGraph& pg = parent.graph;
+        const auto own = static_cast<std::uint32_t>(parent_index);
         // Lazily created shared copy of the parent's TID set, handed to
         // every candidate whose feasibility intersection removes nothing
         // (charged against the memory budget once, not per candidate).
@@ -712,15 +865,16 @@ FsgResult MineFsg(graph::TransactionSource& source,
         std::vector<std::shared_ptr<const TidSet>> sub_sets;
         std::map<std::pair<EdgeType, bool>, std::uint32_t> cand_type_counts;
         parent_edges.clear();
-        if (level >= 3) {
-          pg.ForEachEdge([&](EdgeId e) {
-            parent_edges.push_back(InternEdge(pg, e, type_ids));
-          });
-        }
+        pg.ForEachEdge([&](EdgeId e) {
+          parent_edges.push_back(InternEdge(pg, e, type_ids));
+        });
         WedgeKey parent_key;
         if (level == 3) {
           parent_key = WedgeKeyOf(parent_edges[0], parent_edges[1]);
         }
+        const std::vector<CoreRow>* rows =
+            level >= 4 ? &core.rows[parent_index] : nullptr;
+        sub_index.resize(pg.num_edges());
         // The new vertex's id when the added edge has one end outside pg.
         const auto fresh = static_cast<VertexId>(pg.num_vertices());
         // Considers pg plus an edge of type t from src to dst.
@@ -740,45 +894,23 @@ FsgResult MineFsg(graph::TransactionSource& source,
             return;
           }
           const bool self_loop = src == dst;
-          if (level >= 3) {
-            // Wedge check: each wedge the new edge forms with a parent
-            // edge is a connected 2-edge sub-pattern, so it must be a
-            // frequent level-2 pattern. A miss means the closure check
-            // below would prune the extension; skip it before building
-            // it. At level 3 these wedges are the extension's 2-edge
-            // sub-patterns besides the parent, so their sets are its
-            // feasibility filters. Parent edges go last to first; the
-            // order fixes the intersection sequence, and with it the
-            // tidset/* work counters.
-            const graph::GraphView::EdgeTypeKey type{
-                t.src_label, t.dst_label, t.edge_label, self_loop};
-            const TypedEdge added{src, dst, InternType(type_ids, type)};
-            sub_sets.clear();
-            for (std::size_t i = parent_edges.size(); i-- > 0;) {
-              if (!ShareVertex(parent_edges[i], added)) continue;
-              const WedgeKey key = WedgeKeyOf(parent_edges[i], added);
-              const auto it = frequent_wedges.find(key);
-              if (it == frequent_wedges.end()) {
-                ++wedge_pruned;
-                return;
-              }
-              if (level != 3 || key == parent_key) continue;
-              if (std::find(sub_sets.begin(), sub_sets.end(), it->second) ==
-                  sub_sets.end()) {
-                sub_sets.push_back(it->second);
-              }
-            }
-          }
-          LabeledGraph extended = pg;
-          if (src == fresh) extended.AddVertex(t.src_label);
-          if (dst == fresh) extended.AddVertex(t.dst_label);
-          extended.AddEdge(src, dst, t.edge_label);
+          const graph::GraphView::EdgeTypeKey type{
+              t.src_label, t.dst_label, t.edge_label, self_loop};
+          const TypedEdge added{src, dst, InternType(type_ids, type)};
+          // Built once the extension survives its lookups.
+          LabeledGraph extended;
+          auto build = [&] {
+            extended = pg;
+            if (src == fresh) extended.AddVertex(t.src_label);
+            if (dst == fresh) extended.AddVertex(t.dst_label);
+            extended.AddEdge(src, dst, t.edge_label);
+          };
           std::string code;
           std::shared_ptr<const TidSet> feasible;
           bool feasible_exact = false;
           std::uint64_t tid_bytes = 0;
           const std::size_t parent_card = parent.tids.Cardinality();
-          if (extended.num_edges() == 2) {
+          if (level == 2) {
             // Level 2 runs entirely off the level-1 indexes. The wedge
             // key names the candidate's isomorphism class, so it dedups
             // isomorphic extensions before any canonical-code work
@@ -788,8 +920,7 @@ FsgResult MineFsg(graph::TransactionSource& source,
             // parent's by anti-monotonicity (DESIGN.md §12), so it also
             // stands in for the downward-closure check: a wedge with an
             // infrequent edge is infrequent.
-            const WedgeKey key = PatternWedgeKey(
-                extended, EdgeId{0}, EdgeId{1}, type_ids);
+            const WedgeKey key = WedgeKeyOf(parent_edges[0], added);
             if (!level2_seen.insert(key).second) return;  // isomorphic dup
             const auto wit = wedge_tids.find(key);
             feasible = wit == wedge_tids.end() ? empty_tids : wit->second;
@@ -801,57 +932,119 @@ FsgResult MineFsg(graph::TransactionSource& source,
               // code entirely.
               return;
             }
+            build();
             code = iso::CanonicalCodeCached(extended);
           } else {
-            // 3+ edge extensions dedup by isomorphism class before any
-            // canonical-code work (isomorphic extensions serialize
-            // differently, so every distinct serialization used to pay
-            // a full canonical search). Classes bucket by the cheap
-            // invariant hash and are separated by an exact tiny-graph
-            // isomorphism test; only the class representative runs the
-            // closure check and — if it survives — the canonical search.
-            const std::uint64_t fp = iso::InvariantHash(extended);
-            std::vector<LabeledGraph>& bucket = ext_classes[fp];
-            for (const LabeledGraph& rep : bucket) {
-              if (SmallGraphsIsomorphic(rep, extended)) return;
+            // Wedge check: each wedge the new edge forms with a parent
+            // edge is a connected 2-edge subgraph, so it must be a
+            // frequent level-2 pattern; a miss skips the extension. At
+            // level 3 these wedges are the extension's 2-edge
+            // sub-patterns besides the parent, so the check is its
+            // closure lookup, and their sets are its feasibility filters.
+            // Parent edges go last to first; the order fixes the
+            // intersection sequence, and with it the tidset/* work
+            // counters.
+            sub_sets.clear();
+            std::uint32_t first = own;
+            for (std::size_t i = parent_edges.size(); i-- > 0;) {
+              if (!ShareVertex(parent_edges[i], added)) continue;
+              const WedgeKey key = WedgeKeyOf(parent_edges[i], added);
+              const auto it = frequent_wedges.find(key);
+              if (it == frequent_wedges.end()) {
+                ++wedge_pruned;
+                return;
+              }
+              if (level != 3) continue;
+              first = std::min(first, it->second.index);
+              if (key == parent_key) continue;
+              if (std::find(sub_sets.begin(), sub_sets.end(),
+                            it->second.tids) == sub_sets.end()) {
+                sub_sets.push_back(it->second.tids);
+              }
             }
-            bucket.push_back(extended);
-            // Downward closure: every connected k-edge sub-pattern must
-            // be frequent. Found sub-patterns double as feasibility
-            // filters: their TID sets are supersets of the candidate's
-            // support. At level 3 the wedge check above has tested every
-            // sub-pattern and collected their sets.
-            bool prunable = false;
-            if (extended.num_edges() > 3) {
-              sub_sets.clear();
-              // The extension appended its edge last, so dropping it
-              // just reconstructs the parent — frequent by construction
-              // and already the feasibility base; skip that copy+code
-              // round-trip.
-              const auto added =
-                  static_cast<EdgeId>(extended.num_edges() - 1);
-              for (EdgeId drop : extended.LiveEdges()) {
-                if (drop == added) continue;
-                const LabeledGraph sub = WithoutEdge(extended, drop);
-                if (!graph::IsWeaklyConnected(sub)) continue;  // not checkable
-                const std::string sub_code = iso::CanonicalCodeCached(sub);
-                const auto sub_it = previous_level_tids.find(sub_code);
-                if (sub_it == previous_level_tids.end()) {
-                  prunable = true;
-                  break;
+            if (level >= 4) {
+              // Downward closure by lookup: C − f = (P − f) + e, so P's
+              // row for f names the core P − f and maps e into it. A
+              // missing entry means C − f is infrequent. When f is a
+              // bridge of P that e reconnects, P − f is no core, and a
+              // core with too many automorphisms has nothing registered;
+              // C − f is coded then.
+              uncovered.clear();
+              for (EdgeId f = 0; f < pg.num_edges(); ++f) {
+                const CoreRow& row = (*rows)[f];
+                sub_index[f] = kNoPattern;
+                if (row.core == kNoPattern) {
+                  if (src != fresh && dst != fresh &&
+                      row.map[src] != row.map[dst]) {
+                    uncovered.push_back(f);
+                  }
+                  continue;
                 }
-                if (sub_code == parent.code) continue;  // base set already
+                const VertexId s =
+                    src == fresh ? graph::kInvalidVertex : row.map[src];
+                const VertexId d =
+                    dst == fresh ? graph::kInvalidVertex : row.map[dst];
+                if (s == graph::kInvalidVertex &&
+                    d == graph::kInvalidVertex) {
+                  continue;  // e hangs off the vertex f isolates
+                }
+                if (!row.registered) {
+                  uncovered.push_back(f);
+                  continue;
+                }
+                const Label fresh_label =
+                    s == graph::kInvalidVertex
+                        ? (src == fresh ? t.src_label : pg.vertex_label(src))
+                    : d == graph::kInvalidVertex
+                        ? (dst == fresh ? t.dst_label : pg.vertex_label(dst))
+                        : 0;
+                ++closure_lookups;
+                const auto it = core.grown.find(
+                    CoreKey{row.core, s, d, t.edge_label, fresh_label});
+                if (it == core.grown.end()) {
+                  ++pruned_closure;
+                  return;
+                }
+                sub_index[f] = it->second;
+                first = std::min(first, it->second);
+              }
+              if (first < own) {
+                ++not_canonical;
+                return;
+              }
+              if (!uncovered.empty()) build();
+              for (const EdgeId f : uncovered) {
+                ++closure_fallbacks;
+                const auto it = previous_index.find(
+                    iso::CanonicalCodeCached(WithoutEdge(extended, f)));
+                if (it == previous_index.end()) {
+                  ++pruned_closure;
+                  return;
+                }
+                sub_index[f] = it->second;
+                first = std::min(first, it->second);
+              }
+              // Found sub-patterns double as feasibility filters: their
+              // TID sets are supersets of the candidate's support.
+              for (EdgeId f = 0; f < pg.num_edges(); ++f) {
+                const std::uint32_t s = sub_index[f];
+                if (s == kNoPattern || s == own) continue;
                 if (std::find(sub_sets.begin(), sub_sets.end(),
-                              sub_it->second) == sub_sets.end()) {
-                  sub_sets.push_back(sub_it->second);
+                              previous_sets[s]) == sub_sets.end()) {
+                  sub_sets.push_back(previous_sets[s]);
                 }
               }
             }
-            if (prunable) {
-              ++pruned_closure;
+            // A sub-pattern earlier in the frontier generates the
+            // extension's class first (DESIGN.md §12, "Core tables").
+            if (first < own) {
+              ++not_canonical;
               return;
             }
+            if (extended.num_edges() == 0) build();
             code = iso::CanonicalCodeCached(extended);
+            // One parent generates a class, so this merges only its own
+            // isomorphic extensions.
             if (candidates.contains(code)) return;
             // Feasibility: intersect the parent's TID set with the added
             // edge type's level-1 set and each sub-pattern set. Every
@@ -966,6 +1159,9 @@ FsgResult MineFsg(graph::TransactionSource& source,
     TNMINE_COUNTER_ADD("fsg/extensions_considered", extensions_considered);
     TNMINE_COUNTER_ADD("fsg/extensions_wedge_pruned", wedge_pruned);
     TNMINE_COUNTER_ADD("fsg/candidates_pruned_closure", pruned_closure);
+    TNMINE_COUNTER_ADD("fsg/closure_lookups", closure_lookups);
+    TNMINE_COUNTER_ADD("fsg/closure_fallbacks", closure_fallbacks);
+    TNMINE_COUNTER_ADD("fsg/extensions_not_canonical", not_canonical);
     TNMINE_COUNTER_ADD("fsg/feasible_pruned_by_join", pruned_by_join);
     TNMINE_COUNTER_ADD("fsg/candidates_generated", candidates.size());
     if (oom) {
@@ -1232,6 +1428,10 @@ FsgResult MineFsg(graph::TransactionSource& source,
     TNMINE_COUNTER_ADD("fsg/candidates_counted", ordered.size());
     TNMINE_COUNTER_ADD("fsg/patterns_frequent", next_frontier.size());
 
+    // The frontier's patterns become the cores of the next core table.
+    cores.clear();
+    for (FrequentPattern& p : frontier) cores.push_back(std::move(p.graph));
+    core_index = std::move(previous_index);
     rebuild_previous(next_frontier);
     for (const FrequentPattern& p : next_frontier) {
       result.patterns.push_back(p);

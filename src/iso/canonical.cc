@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <mutex>
 #include <string>
 #include <tuple>
@@ -404,17 +405,37 @@ struct IdentityHash {
   }
 };
 
-/// One lock-sharded cache segment. Buckets map fingerprint -> the list of
-/// (exact serialization, code) entries sharing it; lookup verifies the
-/// serialization byte-for-byte, so fingerprint collisions cost a probe
-/// but can never produce a wrong code.
+/// One cache entry: a graph's exact serialization and its code. An entry
+/// is inserted pending when its key first misses and turns `ready` once
+/// the thread that missed has computed the code, so a concurrent miss of
+/// the same key waits for that code instead of computing it again.
+struct CacheEntry {
+  std::string key;
+  std::string code;
+  bool ready = false;
+};
+
+/// One lock-sharded cache segment. Buckets map fingerprint -> the entries
+/// sharing it; lookup verifies the serialization byte-for-byte, so
+/// fingerprint collisions cost a probe but can never produce a wrong code.
 struct CacheShard {
   std::mutex mu;
-  std::unordered_map<std::uint64_t,
-                     std::vector<std::pair<std::string, std::string>>,
-                     IdentityHash>
+  std::condition_variable code_ready;  // signalled when a pending entry
+                                       // settles (filled or withdrawn)
+  std::unordered_map<std::uint64_t, std::vector<CacheEntry>, IdentityHash>
       buckets;
   std::size_t entries = 0;
+
+  /// The entry for `key` in bucket `fp`, or null. Callers hold `mu`; the
+  /// pointer is good until they release it.
+  CacheEntry* Find(std::uint64_t fp, const std::string& key) {
+    const auto it = buckets.find(fp);
+    if (it == buckets.end()) return nullptr;
+    for (CacheEntry& entry : it->second) {
+      if (entry.key == key) return &entry;
+    }
+    return nullptr;
+  }
 };
 
 constexpr std::size_t kNumShards = 16;
@@ -432,33 +453,58 @@ std::string CanonicalCodeCached(const LabeledGraph& g) {
   TNMINE_CHECK_MSG(g.IsDense(),
                    "CanonicalCodeCached requires a dense graph");
   const std::uint64_t fp = Fingerprint(g);
-  std::string key = SerializeExact(g);
+  const std::string key = SerializeExact(g);
   CacheShard& shard = g_shards[fp % kNumShards];
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.buckets.find(fp);
-    if (it != shard.buckets.end()) {
-      for (const auto& [entry_key, code] : it->second) {
-        if (entry_key == key) {
-          g_cache_hits.fetch_add(1, std::memory_order_relaxed);
-          TNMINE_COUNTER_ADD("iso/cache_hits", 1);
-          return code;
-        }
-      }
+    std::unique_lock<std::mutex> lock(shard.mu);
+    // A pending entry means another thread missed this key first: wait
+    // until its code is in, and count a hit. The entry is found again
+    // after every wake-up, since it may have moved, or been withdrawn or
+    // cleared (then this thread codes the graph itself).
+    const CacheEntry* entry = nullptr;
+    shard.code_ready.wait(lock, [&] {
+      entry = shard.Find(fp, key);
+      return entry == nullptr || entry->ready;
+    });
+    if (entry != nullptr) {
+      g_cache_hits.fetch_add(1, std::memory_order_relaxed);
+      TNMINE_COUNTER_ADD("iso/cache_hits", 1);
+      return entry->code;
     }
-  }
-  g_cache_misses.fetch_add(1, std::memory_order_relaxed);
-  TNMINE_COUNTER_ADD("iso/cache_misses", 1);
-  std::string code = CanonicalCode(g);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
     if (shard.entries >= kMaxEntriesPerShard) {
       shard.buckets.clear();
       shard.entries = 0;
     }
-    shard.buckets[fp].emplace_back(std::move(key), code);
+    shard.buckets[fp].push_back(CacheEntry{key, {}, false});
     ++shard.entries;
   }
+  g_cache_misses.fetch_add(1, std::memory_order_relaxed);
+  TNMINE_COUNTER_ADD("iso/cache_misses", 1);
+  std::string code;
+  try {
+    code = CanonicalCode(g);
+  } catch (...) {
+    // Withdraw the pending entry so a waiter computes the code itself.
+    std::lock_guard<std::mutex> lock(shard.mu);
+    const auto it = shard.buckets.find(fp);
+    if (it != shard.buckets.end()) {
+      const auto erased = std::erase_if(
+          it->second, [&](const CacheEntry& e) { return e.key == key; });
+      shard.entries -= erased;
+    }
+    shard.code_ready.notify_all();
+    throw;
+  }
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    // A clear in the meantime dropped the entry; its waiters re-find
+    // nothing and compute the code themselves.
+    if (CacheEntry* entry = shard.Find(fp, key)) {
+      entry->code = code;
+      entry->ready = true;
+    }
+  }
+  shard.code_ready.notify_all();
   return code;
 }
 

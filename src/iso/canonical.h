@@ -42,12 +42,19 @@ bool AreIsomorphic(const graph::LabeledGraph& a, const graph::LabeledGraph& b);
 /// the many isomorphic-but-differently-numbered variants of one pattern
 /// land in the same bucket and probe cheaply. `g` must be dense
 /// (tombstone-free), as all miner pattern graphs are.
+///
+/// The first miss of a key inserts a pending entry and computes the code;
+/// a thread that misses the same key meanwhile waits for that code and
+/// counts a hit. Between clears each distinct graph is therefore coded,
+/// and counted as a miss, exactly once, whatever the thread schedule.
 std::string CanonicalCodeCached(const graph::LabeledGraph& g);
 
 /// Drops every cached canonical code (all shards). Never required for
 /// correctness — codes are immutable facts about graphs — but used by
 /// benchmarks to time cold runs, and by long-lived processes to bound
-/// memory. Shards also self-clear when they exceed a fixed entry budget.
+/// memory. Shards also self-clear when they exceed a fixed entry budget;
+/// which keys such a clear drops depends on the order of the misses, so
+/// past it the hit and miss counts can depend on the schedule again.
 void ClearCanonicalCodeCache();
 
 /// Cache effectiveness counters (process-wide, monotonically increasing

@@ -64,6 +64,26 @@ ScenarioConfig DrawScenario(Rng& rng) {
   return config;
 }
 
+ScenarioConfig DrawSymmetricScenario(Rng& rng) {
+  ScenarioConfig config;
+  KkOptions& g = config.generator;
+  g.num_transactions = 4 + rng.NextBounded(7);
+  g.avg_transaction_edges = rng.NextDouble(4.0, 8.0);
+  g.num_seed_patterns = 1 + rng.NextBounded(3);
+  g.avg_pattern_edges = rng.NextDouble(3.0, 5.0);
+  g.num_vertex_labels = 1;
+  g.num_edge_labels = 1 + static_cast<int>(rng.NextBounded(2));
+  g.seed = rng.Next();
+  g.hub_skew = rng.NextBool(0.7) ? rng.NextDouble(0.5, 2.0) : 0.0;
+  g.motif_concentration =
+      rng.NextBool(0.5) ? rng.NextDouble(0.5, 2.0) : 0.0;
+  config.min_support = 2 + rng.NextBounded(3);
+  config.max_edges = 5;
+  config.num_threads = rng.NextBool() ? 2 : 4;
+  config.budget_fraction = rng.NextDouble(0.25, 0.75);
+  return config;
+}
+
 std::string SerializeScenario(const ScenarioConfig& config) {
   const KkOptions& g = config.generator;
   std::string out;

@@ -54,6 +54,13 @@ struct ScenarioConfig {
 /// min_support 0).
 ScenarioConfig DrawScenario(Rng& rng);
 
+/// Draws a scenario of symmetric patterns: one vertex label, one or two
+/// edge labels, a few small hub-skewed transactions and max_edges 5, so
+/// stars and short cycles of equal-label vertices get deep enough for
+/// FSG's core-table lookups at levels 4 and 5 to meet cores with
+/// non-trivial automorphisms (DrawScenario stops at max_edges 4).
+ScenarioConfig DrawSymmetricScenario(Rng& rng);
+
 /// Serializes `config` as "key: value" lines (one per field, stable order,
 /// doubles at full round-trip precision). The format is the sidecar body
 /// scenario_fuzz writes next to a failure and the corpus-file format under

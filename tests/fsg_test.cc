@@ -13,6 +13,7 @@
 
 #include "common/budget.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "common/telemetry.h"
 #include "graph/algorithms.h"
 #include "graph/graph_view.h"
@@ -615,6 +616,294 @@ TEST(FsgTest, MemoryCeilingChangesWitnessesNotOutput) {
 #endif
   (void)tight_searches;
   (void)searches;
+}
+
+// Closure by core-table lookup (DESIGN.md §12, "Core tables"). A 4-edge
+// extension C = P + e has the 3-edge sub-patterns (P − f) + e, which
+// generation looks up under P − f instead of coding them.
+
+TEST(FsgTest, BridgeFallbackPrunesWhatNoLookupCan) {
+  // Two transactions, each holding the paths 1-2-3, 2-3-4 and 4-1-2 (by
+  // edge label, one vertex label). The 4-cycle 1-2-3-4 extends the path
+  // 1-2-3 by a 4-edge closing it. Its wedges are frequent, and so are the
+  // sub-patterns that drop a pendant edge of the path (2-3-4 and 4-1-2);
+  // only dropping the middle edge, a bridge that the new edge
+  // reconnects, leaves the path 3-4-1, which no transaction holds. The
+  // core table has no row for a bridge, so only coding C − f shows it.
+  const LabeledGraph txn =
+      Multigraph(12, {{0, 1, 1}, {1, 2, 2}, {2, 3, 3},      // 1-2-3
+                      {4, 5, 2}, {5, 6, 3}, {6, 7, 4},      // 2-3-4
+                      {8, 9, 4}, {9, 10, 1}, {10, 11, 2}});  // 4-1-2
+  const std::vector<LabeledGraph> txns = {txn, txn};
+  FsgOptions options;
+  options.min_support = 2;
+  options.max_edges = 4;
+  std::uint64_t fallbacks = 0;
+  FsgResult r;
+  const std::uint64_t pruned = CounterDelta(
+      "fsg/candidates_pruned_closure", [&] {
+        fallbacks = CounterDelta("fsg/closure_fallbacks",
+                                 [&] { r = MineFsg(txns, options); });
+      });
+  ASSERT_EQ(r.outcome, common::MiningOutcome::kComplete);
+  // Level 4 keeps only the two 4-paths 1-2-3-4 and 4-1-2-3, whose
+  // connected sub-patterns are all frequent; neither is.
+  EXPECT_EQ(r.candidates_per_level, (std::vector<std::size_t>{4, 4, 4, 2}));
+  EXPECT_EQ(r.frequent_per_level, (std::vector<std::size_t>{4, 4, 3, 0}));
+  gspan::GspanOptions gspan_options;
+  gspan_options.min_support = 2;
+  gspan_options.max_edges = 4;
+  EXPECT_EQ(ByCode(r.patterns),
+            ByCode(gspan::MineGspan(txns, gspan_options).patterns));
+#if TNMINE_TELEMETRY_ENABLED
+  EXPECT_GT(fallbacks, 0u);
+  EXPECT_GT(pruned, 0u);
+#endif
+  (void)fallbacks;
+  (void)pruned;
+}
+
+TEST(FsgTest, CoreLookupFindsTheImageUnderAnAutomorphism) {
+  // One vertex and one edge label. The 4-edge pattern x->y, x->z, y->z,
+  // y->w (a transitive triangle with a tail out of its middle vertex)
+  // lies in t0 and t1. Generating it from the frequent y->z, y->w, x->y
+  // by x->z, the sub-pattern that drops x->y is the out-star y->z, y->w
+  // plus x->z; its core, the out-star, has the automorphism that swaps
+  // its leaves. The parent's vertex map and the sub-pattern's own can
+  // put z on different leaves, so the table must hold the added edge
+  // under both.
+  const std::vector<LabeledGraph> txns = {
+      Multigraph(4, {{2, 3, 1}, {0, 2, 1}, {0, 1, 1}, {2, 1, 1}}),
+      Multigraph(4, {{1, 3, 1}, {2, 3, 1}, {0, 2, 1}, {0, 1, 1}, {1, 2, 1}}),
+      Multigraph(4, {{1, 2, 1}, {3, 2, 1}, {0, 3, 1}}),
+  };
+  FsgOptions options;
+  options.min_support = 2;
+  options.max_edges = 4;
+  const FsgResult r = MineFsg(txns, options);
+  ASSERT_EQ(r.outcome, common::MiningOutcome::kComplete);
+  ExpectTidsExact(r, txns);
+  EXPECT_EQ(TidsOf(r, Multigraph(4, {{0, 1, 1}, {0, 2, 1}, {1, 2, 1},
+                                     {1, 3, 1}})),
+            (Tids{0, 1}));
+  gspan::GspanOptions gspan_options;
+  gspan_options.min_support = 2;
+  gspan_options.max_edges = 4;
+  EXPECT_EQ(ByCode(r.patterns),
+            ByCode(gspan::MineGspan(txns, gspan_options).patterns));
+}
+
+TEST(FsgTest, CoresWithTooManyAutomorphismsFallBackToCoding) {
+  // Two out-stars with 14 interchangeable leaves, mined without a size
+  // limit. A k-leaf star core has k! automorphisms; from the 6-leaf core
+  // on there are too many to register, so closure is decided by coding.
+  // The k-leaf stars, k = 1..14, are exactly the frequent patterns. (gSpan
+  // is no oracle here: it would list the 14!/(14 - k)! embeddings of each.)
+  LabeledGraph star;
+  star.AddVertex(0);
+  ByCodeMap expect;
+  for (VertexId v = 1; v <= 14; ++v) {
+    star.AddVertex(0);
+    star.AddEdge(0, v, 1);
+    expect.emplace(iso::CanonicalCode(star), std::make_pair(2, Tids{0, 1}));
+  }
+  const std::vector<LabeledGraph> txns = {star, star};
+  FsgOptions options;
+  options.min_support = 2;
+  std::uint64_t fallbacks = 0;
+  FsgResult r;
+  fallbacks = CounterDelta("fsg/closure_fallbacks",
+                           [&] { r = MineFsg(txns, options); });
+  ASSERT_EQ(r.outcome, common::MiningOutcome::kComplete);
+  EXPECT_EQ(ByCode(r.patterns), expect);
+  // Level 15 counts the 15-leaf star, which neither transaction holds.
+  std::vector<std::size_t> frequent(14, 1);
+  frequent.push_back(0);
+  EXPECT_EQ(r.frequent_per_level, frequent);
+#if TNMINE_TELEMETRY_ENABLED
+  EXPECT_GT(fallbacks, 0u);
+#endif
+  (void)fallbacks;
+}
+
+/// Transactions with the textures candidate generation must get right.
+/// `uniform`: one vertex label, like the OD partitions; each transaction
+/// is a hub star with equal-label leaves (edges out of and into the hub),
+/// a 3-cycle and a 4-cycle hung off leaves, and a few random edges, over
+/// edge labels 1 and 2. Otherwise: three vertex and three edge labels,
+/// with self-loops and parallel and antiparallel pairs.
+std::vector<LabeledGraph> TexturedTransactions(std::uint64_t seed,
+                                               bool uniform) {
+  Rng rng(seed);
+  std::vector<LabeledGraph> txns;
+  for (int t = 0; t < 14; ++t) {
+    LabeledGraph g;
+    if (uniform) {
+      auto label = [&] { return static_cast<Label>(1 + rng.NextBounded(2)); };
+      const VertexId hub = g.AddVertex(0);
+      std::vector<VertexId> leaves;
+      const std::uint64_t n = 3 + rng.NextBounded(3);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const VertexId leaf = g.AddVertex(0);
+        if (rng.NextBounded(4) == 0) {
+          g.AddEdge(leaf, hub, label());
+        } else {
+          g.AddEdge(hub, leaf, label());
+        }
+        leaves.push_back(leaf);
+      }
+      for (const std::size_t len : {3, 4}) {
+        const VertexId start = leaves[rng.NextBounded(leaves.size())];
+        VertexId prev = start;
+        for (std::size_t i = 1; i < len; ++i) {
+          const VertexId next = g.AddVertex(0);
+          g.AddEdge(prev, next, 1);
+          prev = next;
+        }
+        g.AddEdge(prev, start, 1);
+      }
+      for (int i = 0; i < 2; ++i) {
+        const auto a = static_cast<VertexId>(rng.NextBounded(g.num_vertices()));
+        const auto b = static_cast<VertexId>(rng.NextBounded(g.num_vertices()));
+        if (a != b) g.AddEdge(a, b, label());
+      }
+    } else {
+      auto label = [&] { return static_cast<Label>(rng.NextBounded(3)); };
+      const std::uint64_t n = 5 + rng.NextBounded(3);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        g.AddVertex(static_cast<Label>(rng.NextBounded(3)));
+      }
+      for (int i = 0; i < 9; ++i) {
+        const auto a = static_cast<VertexId>(rng.NextBounded(n));
+        const auto b = rng.NextBounded(6) == 0
+                           ? a
+                           : static_cast<VertexId>(rng.NextBounded(n));
+        const Label l = label();
+        g.AddEdge(a, b, l);  // a == b is a self-loop
+        switch (rng.NextBounded(4)) {
+          case 0:
+            g.AddEdge(a, b, l);  // parallel twin
+            break;
+          case 1:
+            g.AddEdge(b, a, label());  // antiparallel partner
+            break;
+          default:
+            break;
+        }
+      }
+    }
+    txns.push_back(std::move(g));
+  }
+  return txns;
+}
+
+/// FNV-1a of every FsgResult field, chained through `h`.
+std::uint64_t HashResult(const FsgResult& r, std::uint64_t h) {
+  std::string text;
+  auto add = [&](auto value) {
+    text += std::to_string(value);
+    text += ' ';
+  };
+  add(static_cast<int>(r.outcome));
+  add(static_cast<int>(r.aborted_out_of_memory));
+  add(r.levels_completed);
+  add(r.peak_candidate_bytes);
+  add(r.work_ticks);
+  for (const std::size_t n : r.candidates_per_level) add(n);
+  text += '|';
+  for (const std::size_t n : r.frequent_per_level) add(n);
+  text += '\n';
+  for (const auto& p : r.patterns) {
+    text += p.code;
+    text += ' ';
+    add(p.support);
+    for (const std::uint32_t tid : p.tids) add(tid);
+    text += '|';
+    for (VertexId v = 0; v < p.graph.num_vertices(); ++v) {
+      add(p.graph.vertex_label(v));
+    }
+    p.graph.ForEachEdge([&](graph::EdgeId e) {
+      const graph::Edge& edge = p.graph.edge(e);
+      add(edge.src);
+      add(edge.dst);
+      add(edge.label);
+    });
+    text += '\n';
+  }
+  for (const unsigned char c : text) h = (h ^ c) * 1099511628211ULL;
+  return h;
+}
+
+/// Pins the whole result of every run (patterns with their graphs, codes,
+/// supports and TIDs; candidates and frequent patterns per level; peak
+/// candidate bytes, ticks and outcome) on symmetric and mixed-label
+/// multigraphs up to 5 edges, at 1 and 4 lanes, unbudgeted, at three tick
+/// cuts and at two candidate-byte cuts, with the support checks and
+/// witness hits they made. Any change to which candidates generation
+/// keeps, from which parent, in which order, or what it charges, moves a
+/// hash.
+TEST(FsgTest, PinnedOutputOnTexturedMultigraphs) {
+  struct Pin {
+    std::uint64_t seed;
+    bool uniform;
+    std::size_t min_support;
+    std::uint64_t fnv;
+    std::uint64_t checks;
+    std::uint64_t hits;
+  };
+  const Pin pins[] = {
+      {41, true, 5, 0x97c5964389825ab5ULL, 12128, 5782},
+      {42, true, 4, 0x0bfe28688d92663bULL, 15812, 7230},
+      {43, false, 2, 0xf926e581e43703e7ULL, 364, 316},
+      {44, false, 2, 0xe0fe13d3763d1f31ULL, 320, 180},
+  };
+  for (const Pin& pin : pins) {
+    const auto txns = TexturedTransactions(pin.seed, pin.uniform);
+    std::uint64_t h = 1469598103934665603ULL;
+    std::uint64_t checks = 0;
+    std::uint64_t hits = 0;
+    auto mine = [&](const FsgOptions& options) {
+      FsgResult r;
+      checks += CounterDelta("fsg/support_checks", [&] {
+        hits += CounterDelta("fsg/witness_hits",
+                             [&] { r = MineFsg(txns, options); });
+      });
+      h = HashResult(r, h);
+      return r;
+    };
+    for (const std::size_t lanes : {1, 4}) {
+      FsgOptions options;
+      options.min_support = pin.min_support;
+      options.max_edges = 5;
+      options.parallelism = common::Parallelism{lanes};
+      // Accounting-only budget: active, tick-unlimited.
+      options.budget = common::ResourceBudget(common::BudgetLimits{});
+      const FsgResult full = mine(options);
+      ASSERT_EQ(full.outcome, common::MiningOutcome::kComplete);
+      ASSERT_EQ(full.levels_completed, 5u) << "seed " << pin.seed;
+      for (const double fraction : {0.9, 0.5, 0.1}) {
+        common::BudgetLimits limits;
+        limits.max_work_ticks = static_cast<std::uint64_t>(
+            static_cast<double>(full.work_ticks) * fraction);
+        options.budget = common::ResourceBudget(limits);
+        (void)mine(options);
+      }
+      options.budget = common::ResourceBudget(common::BudgetLimits{});
+      for (const double fraction : {0.95, 0.6}) {
+        options.max_candidate_bytes = static_cast<std::uint64_t>(
+            static_cast<double>(full.peak_candidate_bytes) * fraction);
+        (void)mine(options);
+      }
+    }
+    EXPECT_EQ(h, pin.fnv) << "seed " << pin.seed << ": got 0x" << std::hex
+                          << h;
+#if TNMINE_TELEMETRY_ENABLED
+    EXPECT_EQ(checks, pin.checks) << "seed " << pin.seed;
+    EXPECT_EQ(hits, pin.hits) << "seed " << pin.seed;
+#endif
+    (void)checks;
+    (void)hits;
+  }
 }
 
 TEST(FsgTest, SelfLoopPatterns) {

@@ -209,23 +209,30 @@ TEST(ParallelVf2Test, SharedViewsMatchSequentialCounts) {
 
 /// Deltas of the snapshot/scratch telemetry across one mining run. Unlike
 /// threadpool/*, these are part of the determinism contract (DESIGN.md
-/// §9): graphview/*, FSG's witness counters and scratch/acquires must not
-/// depend on the thread count. (scratch/reuse_hits and
-/// scratch/fresh_allocs DO depend on which thread ran what, and are
-/// deliberately absent here.)
+/// §9): graphview/*, FSG's generation and witness counters, the
+/// canonical-code cache's misses and codes (from a cleared cache) and
+/// scratch/acquires must not depend on the thread count.
+/// (scratch/reuse_hits and scratch/fresh_allocs DO depend on which thread
+/// ran what, and are deliberately absent here.)
 std::vector<std::uint64_t> KernelCounterDeltas(std::size_t threads) {
   static const char* kNames[] = {"graphview/views_built",
                                  "graphview/vertices_snapshot",
                                  "graphview/edges_snapshot",
                                  "fsg/witness_hits",
-                                 "fsg/parent_searches"};
+                                 "fsg/parent_searches",
+                                 "fsg/closure_lookups",
+                                 "fsg/closure_fallbacks",
+                                 "fsg/extensions_not_canonical",
+                                 "iso/cache_misses",
+                                 "iso/codes_computed"};
   const auto txns = TestTransactions(505);
   const auto before = telemetry::Registry::Global().Snapshot().counters;
   const common::ScratchStats scratch_before = common::GetScratchStats();
   fsg::FsgOptions fsg_options;
   fsg_options.min_support = 4;
-  fsg_options.max_edges = 3;
+  fsg_options.max_edges = 4;
   fsg_options.parallelism = common::Parallelism{threads};
+  iso::ClearCanonicalCodeCache();  // cache state must not leak across runs
   (void)fsg::MineFsg(txns, fsg_options);
   gspan::GspanOptions gspan_options;
   gspan_options.min_support = 4;
@@ -285,6 +292,55 @@ TEST(CanonicalCodeCacheTest, ConcurrentLookupsAreConsistent) {
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i], expected[i % txns.size()]);
   }
+}
+
+TEST(CanonicalCodeCacheTest, ConcurrentMissesComputeEachCodeOnce) {
+  // Rounds of graphs the cache has never seen, each asked for by 8 lanes
+  // at once: one lane misses and codes it, the others wait for that code
+  // and count hits. The graphs are circulants (every vertex alike), so
+  // each code's search runs long enough for the asks to overlap.
+  constexpr std::size_t kRounds = 6;
+  constexpr std::size_t kGraphs = 16;
+  constexpr std::size_t kAsks = 8;
+  auto codes_computed = [] {
+    const auto counters = telemetry::Registry::Global().Snapshot().counters;
+    const auto it = counters.find("iso/codes_computed");
+    return it == counters.end() ? std::uint64_t{0} : it->second;
+  };
+  iso::ClearCanonicalCodeCache();
+  std::uint64_t computed = 0;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    std::vector<graph::LabeledGraph> graphs;
+    std::vector<std::string> expected;
+    for (std::size_t i = 0; i < kGraphs; ++i) {
+      // Edge labels unique to (round, i) make every graph new.
+      const auto label = static_cast<graph::Label>(1 + round * kGraphs + i);
+      graph::LabeledGraph g;
+      for (int v = 0; v < 12; ++v) g.AddVertex(0);
+      for (graph::VertexId v = 0; v < 12; ++v) {
+        g.AddEdge(v, (v + 1) % 12, label);
+        g.AddEdge(v, (v + 3) % 12, label);
+      }
+      expected.push_back(iso::CanonicalCode(g));
+      graphs.push_back(std::move(g));
+    }
+    const std::uint64_t before = codes_computed();
+    const std::vector<std::string> got = common::ParallelMap<std::string>(
+        common::Parallelism{8}, kGraphs * kAsks, [&](std::size_t i) {
+          return iso::CanonicalCodeCached(graphs[i / kAsks]);
+        });
+    computed += codes_computed() - before;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], expected[i / kAsks]);
+    }
+  }
+  const auto stats = iso::GetCanonicalCacheStats();
+  EXPECT_EQ(stats.misses, kRounds * kGraphs);
+  EXPECT_EQ(stats.hits, kRounds * kGraphs * (kAsks - 1));
+#if TNMINE_TELEMETRY_ENABLED
+  EXPECT_EQ(computed, kRounds * kGraphs);
+#endif
+  (void)computed;
 }
 
 TEST(CanonicalCodeCacheTest, ClearResetsStats) {

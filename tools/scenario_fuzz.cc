@@ -36,12 +36,16 @@
 //                    substructure's canonical code, instances are pairwise
 //                    distinct and within max_instances, and the disjoint
 //                    count equals a greedy recount.
+//   symmetric        miner_equiv, parallel, budget_prefix and shard_equiv
+//                    on scenarios from synth::DrawSymmetricScenario: one
+//                    vertex label, stars and cycles, max_edges 5, where
+//                    FSG's core-table lookups meet symmetric cores.
 //
 // Usage:
 //   scenario_fuzz [--seed N] [--iters M]
 //                 [--oracle miner_equiv|parallel|encoding|budget_prefix|
 //                           support_monotone|partition|shard_equiv|
-//                           subdue_instances|all]
+//                           subdue_instances|symmetric|all]
 //                 [--artifact-dir DIR] [--replay FILE] [--corpus DIR]
 //
 // Exit status 0 when every iteration passes; 1 on the first failure after
@@ -649,11 +653,25 @@ std::optional<std::string> OracleSubdueInstances(
 
 // ---------------------------------------------------------------------------
 
+/// The FSG-centred oracles again, on symmetric scenarios.
+std::optional<std::string> OracleSymmetric(
+    const std::vector<LabeledGraph>& txns, const ScenarioConfig& config) {
+  for (const auto& oracle : {OracleMinerEquiv, OracleParallel,
+                             OracleBudgetPrefix, OracleShardEquiv}) {
+    if (std::optional<std::string> failure = oracle(txns, config)) {
+      return "symmetric: " + *failure;
+    }
+  }
+  return std::nullopt;
+}
+
 struct Oracle {
   const char* name;
   std::function<std::optional<std::string>(const std::vector<LabeledGraph>&,
                                            const ScenarioConfig&)>
       check;
+  /// Draws an iteration's scenario.
+  ScenarioConfig (*draw)(Rng&) = tnmine::synth::DrawScenario;
 };
 
 const std::vector<Oracle>& Oracles() {
@@ -666,6 +684,7 @@ const std::vector<Oracle>& Oracles() {
       {"partition", OraclePartition},
       {"shard_equiv", OracleShardEquiv},
       {"subdue_instances", OracleSubdueInstances},
+      {"symmetric", OracleSymmetric, tnmine::synth::DrawSymmetricScenario},
   };
   return oracles;
 }
@@ -752,7 +771,8 @@ int Usage(const char* argv0) {
       "usage: %s [--seed N] [--iters M] [--oracle NAME|all]\n"
       "          [--artifact-dir DIR] [--replay FILE] [--corpus DIR]\n"
       "oracles: miner_equiv parallel encoding budget_prefix "
-      "support_monotone partition shard_equiv subdue_instances\n",
+      "support_monotone partition shard_equiv subdue_instances "
+      "symmetric\n",
       argv0);
   return 2;
 }
@@ -931,7 +951,7 @@ int main(int argc, char** argv) {
       // replays alone: --seed <iter seed> --iters 1.
       const std::uint64_t iter_seed = seed + i * 0x9E3779B97F4A7C15ULL;
       Rng rng(iter_seed);
-      const ScenarioConfig config = tnmine::synth::DrawScenario(rng);
+      const ScenarioConfig config = oracle.draw(rng);
       const std::optional<std::string> failure = RunOracle(oracle, config);
       if (!failure.has_value()) continue;
       std::fprintf(stderr,
