@@ -1,13 +1,12 @@
 #include "fsg/fsg.h"
 
 #include <algorithm>
-#include <map>
+#include <array>
 #include <memory>
+#include <numeric>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
-#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -82,14 +81,42 @@ LabeledGraph WithoutEdge(const LabeledGraph& g, EdgeId drop,
   return copy.Compact(/*drop_isolated_vertices=*/true, vertex_map);
 }
 
-/// Dense edge-type ids, assigned in first-seen order and kept for the
-/// whole mine. Iterating the map visits the types in sorted key order.
-using TypeIds = std::map<graph::GraphView::EdgeTypeKey, std::uint32_t>;
+struct EdgeTypeKeyHash {
+  std::size_t operator()(const graph::GraphView::EdgeTypeKey& k) const {
+    std::uint64_t h = static_cast<std::uint32_t>(k.src_label);
+    h = h * 0x9E3779B97F4A7C15ULL ^ static_cast<std::uint32_t>(k.dst_label);
+    h = h * 0x9E3779B97F4A7C15ULL ^ static_cast<std::uint32_t>(k.edge_label);
+    h = h * 0x9E3779B97F4A7C15ULL ^ std::uint64_t{k.self_loop};
+    return static_cast<std::size_t>(h ^ (h >> 29));
+  }
+};
 
-std::uint32_t InternType(TypeIds& ids,
+/// Dense edge-type ids, assigned in first-seen order and kept for the
+/// whole mine; `keys[id]` is the type `id` names. Level 1 interns every
+/// type a transaction shows first, so those are ids 0..n-1.
+struct TypeIds {
+  std::unordered_map<graph::GraphView::EdgeTypeKey, std::uint32_t,
+                     EdgeTypeKeyHash>
+      ids;
+  std::vector<graph::GraphView::EdgeTypeKey> keys;
+};
+
+std::uint32_t InternType(TypeIds& types,
                          const graph::GraphView::EdgeTypeKey& key) {
-  const auto next = static_cast<std::uint32_t>(ids.size());
-  return ids.try_emplace(key, next).first->second;
+  const auto next = static_cast<std::uint32_t>(types.keys.size());
+  const auto [it, added] = types.ids.try_emplace(key, next);
+  if (added) types.keys.push_back(key);
+  return it->second;
+}
+
+/// An exactly sized copy of a sorted tid list as a shared TidSet over the
+/// full universe. Sizing the copy makes the set's heap footprint a
+/// function of its contents alone, which keeps the byte accounting
+/// deterministic.
+std::shared_ptr<const TidSet> FlatTidSet(const std::vector<std::uint32_t>& tids,
+                                         std::uint32_t universe) {
+  return std::make_shared<const TidSet>(TidSet::FromSorted(
+      std::vector<std::uint32_t>(tids.begin(), tids.end()), universe));
 }
 
 /// Roles an edge end plays in a wedge (a connected 2-edge subgraph). When
@@ -187,11 +214,17 @@ WedgeKey PatternWedgeKey(const LabeledGraph& g, EdgeId e1, EdgeId e2,
   return WedgeKeyOf(InternEdge(g, e1, ids), InternEdge(g, e2, ids));
 }
 
-/// Appends to `keys` the key of every wedge of transaction `t`, repeats
-/// included; `type_of` maps each live edge to its type id. Rather than
-/// visit every pair of incident edges, it groups each vertex's arcs into
-/// classes of equal (type, role) and emits one key per class pair, so a
-/// hub with hundreds of parallel edges costs its class count squared.
+/// `type_of` entry of an edge that no level-2 lookup can reach.
+constexpr std::uint32_t kUnreachableType = 0xFFFFFFFFu;
+
+/// Appends to `keys` the key of every wedge of transaction `t` whose two
+/// edges are reachable, repeats included; `type_of` maps each live edge to
+/// its type id, or to kUnreachableType. Rather than visit every pair of
+/// incident edges, it groups each vertex's arcs into classes of equal
+/// (type, role) and emits one key per class pair, so a hub with hundreds
+/// of parallel edges costs its class count squared. A key depends only on
+/// the two classes it pairs, so leaving out the unreachable arcs drops
+/// exactly the keys with an unreachable end.
 void AppendWedgeKeys(const graph::GraphView& t,
                      const std::vector<std::uint32_t>& type_of,
                      std::vector<WedgeKey>* keys) {
@@ -214,6 +247,7 @@ void AppendWedgeKeys(const graph::GraphView& t,
     links.clear();
     for (const graph::GraphView::Arc& a : t.OutArcs(v)) {
       const std::uint32_t type = type_of[a.edge];
+      if (type == kUnreachableType) continue;
       arcs.emplace_back(WedgeEnd(type, a.other == v ? kRoleLoop : kRoleSrc),
                         a.other);
       if (a.other > v) links.emplace_back(a.other, WedgeEnd(type, kRoleSrc));
@@ -221,6 +255,7 @@ void AppendWedgeKeys(const graph::GraphView& t,
     for (const graph::GraphView::Arc& a : t.InArcs(v)) {
       if (a.other == v) continue;  // the self-loop came up as an out-arc
       const std::uint32_t type = type_of[a.edge];
+      if (type == kUnreachableType) continue;
       arcs.emplace_back(WedgeEnd(type, kRoleDst), a.other);
       if (a.other > v) links.emplace_back(a.other, WedgeEnd(type, kRoleDst));
     }
@@ -532,116 +567,162 @@ FsgResult MineFsg(graph::TransactionSource& source,
   common::BudgetMeter meter(options.budget);
 
   // ---------------------------------------------------------------------
-  // Level 1: frequent single-edge patterns by direct counting, gathered
-  // one shard at a time: each shard accumulates shard-local TID lists
-  // (ids relative to the shard base) which are then spliced into the
-  // global sets with TidSet::SpliceUnion at the shard's base. Shards are
-  // visited in ascending base order, so every splice takes the pure
-  // append path and the global sets come out identical to a flat
-  // single-pass build — at any shard cut. A budget stop here returns an
-  // empty (but honest) result: partially counted level-1 supports would
-  // under-report and cannot be emitted as frequent.
+  // Level 1: frequent single-edge patterns by direct counting, in two
+  // passes over the source. Both visit the shards in ascending base
+  // order, so every TID list is appended in ascending global order and
+  // the sets come out identical at any shard cut. A budget stop in either
+  // pass returns an empty (but honest) result: partially counted level-1
+  // supports would under-report and cannot be emitted as frequent.
   //
-  // The level-1 index lives for the whole mine: every observed edge
-  // type's TID set (frequent or not) is retained so candidate generation
-  // can intersect a join parent's set with the added edge type's set — a
-  // necessary containment condition that shrinks the feasible set before
-  // any VF2 call (DESIGN.md §12).
-  std::map<std::pair<EdgeType, bool>, std::shared_ptr<const TidSet>>
-      type_tids;
-  std::map<std::tuple<EdgeType, bool, std::uint32_t>,
-           std::shared_ptr<const TidSet>>
-      mult_tids;
+  // Pass 1 interns every edge type and lists the transactions it occurs
+  // in; it alone charges ticks. Pass 2 builds the wedge index over the
+  // edges level 2 can reach, and only where a transaction has two of them
+  // (DESIGN.md §12, "Level 1 in two passes").
+  //
+  // The level-1 index lives for the whole mine, by type id: every
+  // observed edge type's TID set (frequent or not) is retained so
+  // candidate generation can intersect a join parent's set with the added
+  // edge type's set — a necessary containment condition that shrinks the
+  // feasible set before any VF2 call (DESIGN.md §12).
   TypeIds type_ids;
+  std::vector<std::shared_ptr<const TidSet>> type_tids;
+  // Transactions with at least k (2 <= k <= kMaxTypeMult) edges of a type,
+  // at [k - 2]; null where no transaction has k. A candidate using a type
+  // m > 1 times can only live where the type occurs >= m times, and these
+  // sets are far smaller than the plain presence sets.
+  std::vector<std::array<std::shared_ptr<const TidSet>, kMaxTypeMult - 1>>
+      mult_tids;
+  // Wedge index: every wedge (connected 2-edge subgraph) of reachable
+  // edges of every transaction has its key recorded once per transaction.
+  // Because the key names the wedge's isomorphism class, a key's TID list
+  // is the exact support set of that 2-edge pattern — level 2 is counted
+  // from this index with no VF2 at all.
   WedgeMap<std::shared_ptr<const TidSet>> wedge_tids;
   std::vector<FrequentPattern> frontier;
   std::vector<EdgeType> frequent_edges;  // for extension generation
   {
     TNMINE_TRACE_SPAN("fsg/level1");
-    std::map<std::pair<EdgeType, bool>, TidSet> edge_sets;
-    // Transactions with at least k (2 <= k <= kMaxTypeMult) edges of a
-    // type: a candidate using a type m > 1 times can only live where the
-    // type occurs >= m times, and these sets are far smaller than the
-    // plain presence sets.
-    std::map<std::tuple<EdgeType, bool, std::uint32_t>, TidSet> mult_sets;
-    // Wedge index: every wedge (connected 2-edge subgraph) of every
-    // transaction has its key recorded once per transaction. Because the
-    // key names the wedge's isomorphism class, a key's TID list is the
-    // exact support set of that 2-edge pattern — level 2 is counted from
-    // this index with no VF2 at all.
-    WedgeMap<TidSet> wedge_sets;
-    // Shard-local scratch, cleared per shard.
-    std::map<std::pair<EdgeType, bool>, std::vector<std::uint32_t>> local_edge;
-    std::map<std::tuple<EdgeType, bool, std::uint32_t>,
-             std::vector<std::uint32_t>>
-        local_mult;
-    // (wedge key, shard-local tid), each pair once.
-    std::vector<std::pair<WedgeKey, std::uint32_t>> local_wedge;
-    // Per-transaction scratch: edge id -> type id, and the wedge keys.
-    std::vector<std::uint32_t> type_of;
-    std::vector<WedgeKey> txn_keys;
+    // Per type id, at [k - 1], the transactions with at least k of its
+    // edges; [0] is the presence list.
+    std::vector<std::array<std::vector<std::uint32_t>, kMaxTypeMult>>
+        type_lists;
+    // Each transaction's edge types in its view's type order, from
+    // txn_begin[tid] on, with the multiplicity capped at kMaxTypeMult.
+    struct TxnType {
+      std::uint32_t id;
+      std::uint32_t mult;
+    };
+    std::vector<TxnType> txn_types;
+    std::vector<std::uint32_t> txn_begin = {0};
+    // The observed types in sorted key order.
+    std::vector<std::uint32_t> order;
+    WedgeMap<std::vector<std::uint32_t>> wedge_lists;
+    std::uint64_t wedge_keys = 0;
     common::MiningOutcome level1_stop = common::MiningOutcome::kComplete;
     try {
       for (std::size_t s = 0; s < source.num_shards(); ++s) {
         const graph::ShardRef shard = source.Pin(s);
-        const auto shard_size = static_cast<std::uint32_t>(shard.views.size());
-        local_edge.clear();
-        local_mult.clear();
-        local_wedge.clear();
-        for (std::uint32_t i = 0; i < shard_size; ++i) {
+        for (std::size_t i = 0; i < shard.views.size(); ++i) {
           const graph::GraphView& t = shard.views[i];
           level1_stop = meter.Charge(1 + t.num_edges());
           if (level1_stop != common::MiningOutcome::kComplete) break;
-          if (type_of.size() < t.edge_capacity()) {
-            type_of.resize(t.edge_capacity());
-          }
+          const auto tid = shard.base + static_cast<std::uint32_t>(i);
           // The view's edge-type index is exactly the distinct live edge
-          // types of the transaction in sorted-key order, and each type's
-          // edge list length is its multiplicity — the per-transaction
-          // std::map the in-RAM build used produced the same sequence.
+          // types of the transaction, and each type's edge list length is
+          // its multiplicity.
           for (std::size_t type = 0; type < t.NumEdgeTypes(); ++type) {
-            const graph::GraphView::EdgeTypeKey& key = t.EdgeTypeAt(type);
-            const EdgeType et{key.src_label, key.dst_label, key.edge_label};
-            local_edge[{et, key.self_loop}].push_back(i);
-            const std::span<const EdgeId> edges = t.EdgesOfType(type);
-            const auto count = static_cast<std::uint32_t>(edges.size());
-            for (std::uint32_t k = 2; k <= std::min(count, kMaxTypeMult);
-                 ++k) {
-              local_mult[{et, key.self_loop, k}].push_back(i);
+            const std::uint32_t id = InternType(type_ids, t.EdgeTypeAt(type));
+            if (id == type_lists.size()) type_lists.emplace_back();
+            const auto mult = static_cast<std::uint32_t>(std::min<std::size_t>(
+                t.EdgesOfType(type).size(), kMaxTypeMult));
+            for (std::uint32_t k = 0; k < mult; ++k) {
+              type_lists[id][k].push_back(tid);
             }
-            const std::uint32_t id = InternType(type_ids, key);
-            for (const EdgeId e : edges) type_of[e] = id;
+            txn_types.push_back({id, mult});
           }
-          // Presence is all the index stores: each key once.
-          txn_keys.clear();
-          AppendWedgeKeys(t, type_of, &txn_keys);
-          std::sort(txn_keys.begin(), txn_keys.end());
-          txn_keys.erase(std::unique(txn_keys.begin(), txn_keys.end()),
-                         txn_keys.end());
-          for (const WedgeKey& key : txn_keys) local_wedge.emplace_back(key, i);
+          txn_begin.push_back(static_cast<std::uint32_t>(txn_types.size()));
         }
         if (level1_stop != common::MiningOutcome::kComplete) break;
-        // Merge this shard's lists into the global sets at the shard base.
-        for (auto& [key, tids] : local_edge) {
-          edge_sets[key].SpliceUnion(
-              TidSet::FromSorted(std::move(tids), shard_size), shard.base);
-        }
-        for (auto& [key, tids] : local_mult) {
-          mult_sets[key].SpliceUnion(
-              TidSet::FromSorted(std::move(tids), shard_size), shard.base);
-        }
-        // Sorting groups the wedge pairs by key with ascending tids; the
-        // pair count bounds the keys this shard can add.
-        std::sort(local_wedge.begin(), local_wedge.end());
-        wedge_sets.reserve(wedge_sets.size() + local_wedge.size());
-        for (std::size_t a = 0; a < local_wedge.size();) {
-          const WedgeKey key = local_wedge[a].first;
-          std::vector<std::uint32_t> tids;
-          for (; a < local_wedge.size() && local_wedge[a].first == key; ++a) {
-            tids.push_back(local_wedge[a].second);
+      }
+      if (level1_stop == common::MiningOutcome::kComplete) {
+        // Sorted key order keeps a (src, dst, edge label) triple's loop
+        // and non-loop forms adjacent. Level 2 extends a frequent edge by
+        // an edge of a type in frequent_edges, so it never looks up a
+        // wedge with an edge of any other triple: a type is reachable when
+        // its triple is frequent in either form.
+        order.resize(type_lists.size());
+        std::iota(order.begin(), order.end(), 0u);
+        std::sort(order.begin(), order.end(),
+                  [&](std::uint32_t a, std::uint32_t b) {
+                    return type_ids.keys[a] < type_ids.keys[b];
+                  });
+        std::vector<char> reachable(order.size());
+        for (std::size_t a = 0; a < order.size();) {
+          const graph::GraphView::EdgeTypeKey& key = type_ids.keys[order[a]];
+          const EdgeType triple{key.src_label, key.dst_label, key.edge_label};
+          std::size_t b = a;
+          bool frequent = false;
+          for (; b < order.size(); ++b) {
+            const graph::GraphView::EdgeTypeKey& other =
+                type_ids.keys[order[b]];
+            if (EdgeType{other.src_label, other.dst_label,
+                         other.edge_label} != triple) {
+              break;
+            }
+            frequent |= type_lists[order[b]][0].size() >= options.min_support;
           }
-          wedge_sets[key].SpliceUnion(
-              TidSet::FromSorted(std::move(tids), shard_size), shard.base);
+          if (frequent) {
+            frequent_edges.push_back(triple);
+            for (std::size_t x = a; x < b; ++x) reachable[order[x]] = 1;
+          }
+          a = b;
+        }
+        // The transactions with two or more reachable edges: the only
+        // ones with a wedge to index.
+        std::vector<std::uint32_t> wedge_txns;
+        for (std::uint32_t tid = 0; tid < universe; ++tid) {
+          std::uint32_t edges = 0;
+          for (std::uint32_t j = txn_begin[tid]; j < txn_begin[tid + 1]; ++j) {
+            if (reachable[txn_types[j].id]) edges += txn_types[j].mult;
+          }
+          if (edges >= 2) wedge_txns.push_back(tid);
+        }
+        // Pass 2 charges no ticks and re-pins only the shards that hold
+        // such a transaction.
+        std::vector<std::uint32_t> type_of;  // edge id -> type id
+        std::vector<WedgeKey> txn_keys;
+        std::size_t next = 0;
+        for (std::size_t s = 0; s < source.num_shards(); ++s) {
+          if (next == wedge_txns.size()) break;
+          level1_stop = meter.Poll();
+          if (level1_stop != common::MiningOutcome::kComplete) break;
+          const std::uint32_t end =
+              source.ShardBase(s) +
+              static_cast<std::uint32_t>(source.ShardSize(s));
+          if (wedge_txns[next] >= end) continue;
+          const graph::ShardRef shard = source.Pin(s);
+          for (; next < wedge_txns.size() && wedge_txns[next] < end; ++next) {
+            const std::uint32_t tid = wedge_txns[next];
+            const graph::GraphView& t = shard.views[tid - shard.base];
+            if (type_of.size() < t.edge_capacity()) {
+              type_of.resize(t.edge_capacity());
+            }
+            for (std::size_t type = 0; type < t.NumEdgeTypes(); ++type) {
+              const std::uint32_t id = txn_types[txn_begin[tid] + type].id;
+              const std::uint32_t of = reachable[id] ? id : kUnreachableType;
+              for (const EdgeId e : t.EdgesOfType(type)) type_of[e] = of;
+            }
+            // Presence is all the index stores: each key once.
+            txn_keys.clear();
+            AppendWedgeKeys(t, type_of, &txn_keys);
+            wedge_keys += txn_keys.size();
+            std::sort(txn_keys.begin(), txn_keys.end());
+            txn_keys.erase(std::unique(txn_keys.begin(), txn_keys.end()),
+                           txn_keys.end());
+            for (const WedgeKey& key : txn_keys) {
+              wedge_lists[key].push_back(tid);
+            }
+          }
         }
       }
     } catch (const std::bad_alloc&) {
@@ -651,47 +732,36 @@ FsgResult MineFsg(graph::TransactionSource& source,
       level1_stop = common::MiningOutcome::kMemoryBudgetExceeded;
       result.aborted_out_of_memory = true;
     }
+    TNMINE_COUNTER_ADD("fsg/level1_wedge_keys", wedge_keys);
     if (level1_stop != common::MiningOutcome::kComplete) {
       result.outcome = level1_stop;
       result.work_ticks = meter.ticks_spent();
       common::RecordOutcome("fsg", result.outcome);
       return result;
     }
-    // Rebuilding each accumulated set through FromSorted pins its
-    // universe to the full transaction count and its heap footprint to a
-    // deterministic function of its contents, shard cut notwithstanding.
-    const auto rebuilt = [&](const TidSet& set) {
-      TidSet flat = TidSet::FromSorted(set.ToVector(), universe);
-      return std::make_shared<const TidSet>(std::move(flat));
-    };
-    for (auto& [key, set] : edge_sets) type_tids.emplace(key, rebuilt(set));
-    for (auto& [key, set] : mult_sets) mult_tids.emplace(key, rebuilt(set));
-    std::set<EdgeType> frequent_edge_set;
-    for (const auto& [key, set] : type_tids) {
-      if (set->Cardinality() < options.min_support) continue;
-      const auto& [type, self_loop] = key;
+    type_tids.resize(type_lists.size());
+    mult_tids.resize(type_lists.size());
+    for (std::size_t id = 0; id < type_lists.size(); ++id) {
+      type_tids[id] = FlatTidSet(type_lists[id][0], universe);
+      for (std::uint32_t k = 2; k <= kMaxTypeMult; ++k) {
+        if (type_lists[id][k - 1].empty()) continue;
+        mult_tids[id][k - 2] = FlatTidSet(type_lists[id][k - 1], universe);
+      }
+    }
+    for (const auto& [key, tids] : wedge_lists) {
+      wedge_tids.emplace(key, FlatTidSet(tids, universe));
+    }
+    for (const std::uint32_t id : order) {
+      const TidSet& set = *type_tids[id];
+      if (set.Cardinality() < options.min_support) continue;
+      const graph::GraphView::EdgeTypeKey& key = type_ids.keys[id];
       FrequentPattern p;
-      p.graph = OneEdgePattern(type, self_loop);
-      p.tids = *set;
+      p.graph = OneEdgePattern({key.src_label, key.dst_label, key.edge_label},
+                               key.self_loop);
+      p.tids = set;
       p.support = p.tids.Cardinality();
       p.code = iso::CanonicalCodeCached(p.graph);
       frontier.push_back(std::move(p));
-      if (frequent_edge_set.insert(type).second) {
-        frequent_edges.push_back(type);
-      }
-    }
-    // Level 2 extends a frequent edge by an edge of a type in
-    // frequent_edges, so it never looks up a wedge with an edge of any
-    // other (src, dst, edge label) triple: those wedges are dropped here.
-    std::vector<char> reachable(type_ids.size());
-    for (const auto& [key, id] : type_ids) {
-      const EdgeType triple{key.src_label, key.dst_label, key.edge_label};
-      reachable[id] = frequent_edge_set.contains(triple);
-    }
-    for (auto& [key, set] : wedge_sets) {
-      if (reachable[TypeOfEnd(key.lo)] && reachable[TypeOfEnd(key.hi)]) {
-        wedge_tids.emplace(key, rebuilt(set));
-      }
     }
   }
   TNMINE_COUNTER_ADD("fsg/wedge_classes_indexed", wedge_tids.size());
@@ -703,11 +773,11 @@ FsgResult MineFsg(graph::TransactionSource& source,
   TNMINE_COUNTER_ADD("fsg/patterns_frequent", frontier.size());
 
   std::uint64_t type_index_bytes = 0;
-  for (const auto& [key, set] : type_tids) {
-    type_index_bytes += set->MemoryBytes();
-  }
-  for (const auto& [key, set] : mult_tids) {
-    type_index_bytes += set->MemoryBytes();
+  for (const auto& set : type_tids) type_index_bytes += set->MemoryBytes();
+  for (const auto& sets : mult_tids) {
+    for (const auto& set : sets) {
+      if (set) type_index_bytes += set->MemoryBytes();
+    }
   }
   for (const auto& [key, set] : wedge_tids) {
     type_index_bytes += sizeof(key) + set->MemoryBytes();
@@ -863,7 +933,8 @@ FsgResult MineFsg(graph::TransactionSource& source,
         // (charged against the memory budget once, not per candidate).
         std::shared_ptr<const TidSet> parent_shared;
         std::vector<std::shared_ptr<const TidSet>> sub_sets;
-        std::map<std::pair<EdgeType, bool>, std::uint32_t> cand_type_counts;
+        // (type id, uses) of each edge type of a candidate.
+        std::vector<std::pair<std::uint32_t, std::uint32_t>> cand_type_counts;
         parent_edges.clear();
         pg.ForEachEdge([&](EdgeId e) {
           parent_edges.push_back(InternEdge(pg, e, type_ids));
@@ -893,9 +964,8 @@ FsgResult MineFsg(graph::TransactionSource& source,
             level_outcome = stop;
             return;
           }
-          const bool self_loop = src == dst;
           const graph::GraphView::EdgeTypeKey type{
-              t.src_label, t.dst_label, t.edge_label, self_loop};
+              t.src_label, t.dst_label, t.edge_label, src == dst};
           const TypedEdge added{src, dst, InternType(type_ids, type)};
           // Built once the extension survives its lookups.
           LabeledGraph extended;
@@ -1052,34 +1122,45 @@ FsgResult MineFsg(graph::TransactionSource& source,
             // the candidate maps the added edge to an edge of identical
             // type — so this only removes transactions that cannot
             // support the candidate; VF2 counting below stays exact.
-            const auto type_it = type_tids.find({t, self_loop});
-            if (type_it == type_tids.end()) {
+            if (added.type >= type_tids.size()) {
               // The added edge type never occurs: trivially infrequent.
               feasible = empty_tids;
               pruned_by_join += parent_card;
             } else {
-              TidSet feas = TidSet::Intersect(parent.tids, *type_it->second);
+              TidSet feas = TidSet::Intersect(parent.tids, *type_tids[added.type]);
               for (const auto& sub : sub_sets) feas.IntersectWith(*sub);
               // Repeated edge types: an embedding maps the candidate's
               // edges injectively, so a type used m times needs >= m
-              // occurrences in the transaction.
+              // occurrences in the transaction. The types go in sorted
+              // key order; the order fixes the tidset/* work counters.
               cand_type_counts.clear();
-              extended.ForEachEdge([&](EdgeId e) {
-                const Edge& edge = extended.edge(e);
-                ++cand_type_counts[{
-                    EdgeType{extended.vertex_label(edge.src),
-                             extended.vertex_label(edge.dst), edge.label},
-                    edge.src == edge.dst}];
-              });
-              for (const auto& [key, m] : cand_type_counts) {
+              auto count_type = [&](std::uint32_t id) {
+                for (auto& [type, m] : cand_type_counts) {
+                  if (type == id) {
+                    ++m;
+                    return;
+                  }
+                }
+                cand_type_counts.emplace_back(id, 1);
+              };
+              for (const TypedEdge& e : parent_edges) count_type(e.type);
+              count_type(added.type);
+              std::sort(cand_type_counts.begin(), cand_type_counts.end(),
+                        [&](const auto& a, const auto& b) {
+                          return type_ids.keys[a.first] <
+                                 type_ids.keys[b.first];
+                        });
+              for (const auto& [type, m] : cand_type_counts) {
                 if (m < 2 || feas.Empty()) continue;
-                const auto mult_it = mult_tids.find(
-                    {key.first, key.second, std::min(m, kMaxTypeMult)});
-                if (mult_it == mult_tids.end()) {
+                const TidSet* set =
+                    type < mult_tids.size()
+                        ? mult_tids[type][std::min(m, kMaxTypeMult) - 2].get()
+                        : nullptr;
+                if (set == nullptr) {
                   feas.Clear();
                   break;
                 }
-                feas.IntersectWith(*mult_it->second);
+                feas.IntersectWith(*set);
               }
               pruned_by_join += parent_card - feas.Cardinality();
               if (feas.Cardinality() == parent_card) {

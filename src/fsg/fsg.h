@@ -95,10 +95,10 @@ FsgResult MineFsg(const std::vector<graph::LabeledGraph>& transactions,
                   const FsgOptions& options);
 
 /// Same miner over a TransactionSource — the out-of-core entry point
-/// (DESIGN.md §16). Level-1 statistics are gathered shard by shard and
-/// merged with TidSet::SpliceUnion at each shard's global base; support
-/// counting reads transactions through per-lane Readers, so at most a
-/// bounded set of shards is resident at any moment. Output is
+/// (DESIGN.md §16). Level 1 reads the shards in ascending order, twice
+/// (edge types, then wedges), appending global tids; support counting
+/// reads transactions through per-lane Readers, so at most a bounded set
+/// of shards is resident at any moment. Output is
 /// byte-identical to the in-memory overload for the same transaction
 /// sequence, at any shard cut and any thread count.
 FsgResult MineFsg(graph::TransactionSource& source, const FsgOptions& options);

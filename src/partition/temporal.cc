@@ -1,7 +1,10 @@
 #include "partition/temporal.h"
 
 #include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/budget.h"
 #include "common/check.h"
@@ -63,6 +66,18 @@ TemporalPartition PartitionByActiveDay(const TransactionDataset& dataset,
   }
 
   common::BudgetMeter meter(options.budget);
+  // Per-day scratch: the day's locations by day-local vertex id, assigned
+  // in first-seen order, and each transaction's endpoint ids.
+  std::unordered_map<data::LocationKey, graph::VertexId> vertex_of;
+  std::vector<data::LocationKey> locations;
+  std::vector<std::pair<graph::VertexId, graph::VertexId>> ends;
+  auto vertex_for = [&](data::LocationKey key) {
+    const auto [it, added] = vertex_of.try_emplace(
+        key, static_cast<graph::VertexId>(locations.size()));
+    if (added) locations.push_back(key);
+    return it->second;
+  };
+  const std::size_t cap = options.max_distinct_vertex_labels;
   try {
     for (std::size_t day_index = 0; day_index < num_days; ++day_index) {
       const auto& txns = active[day_index];
@@ -75,37 +90,36 @@ TemporalPartition PartitionByActiveDay(const TransactionDataset& dataset,
         out.outcome = common::CombineOutcomes(out.outcome, stop);
         break;
       }
-      // Day-level vertex-label filter (Table 3's "< 200 distinct vertex
-      // labels").
-      if (options.max_distinct_vertex_labels > 0) {
-        std::unordered_set<data::LocationKey> distinct;
-        for (std::uint32_t i : txns) {
-          distinct.insert(TransactionDataset::OriginKey(dataset[i]));
-          distinct.insert(TransactionDataset::DestKey(dataset[i]));
-        }
-        if (distinct.size() >= options.max_distinct_vertex_labels) {
-          ++out.days_filtered_out;
-          continue;
-        }
-      }
-      // Build the day's graph.
-      LabeledGraph day_graph;
-      std::unordered_map<data::LocationKey, graph::VertexId> vertex_of;
-      auto vertex_for = [&](data::LocationKey key) {
-        const auto it = vertex_of.find(key);
-        if (it != vertex_of.end()) return it->second;
-        const graph::VertexId v = day_graph.AddVertex(location_label(key));
-        vertex_of.emplace(key, v);
-        return v;
-      };
+      // One scan numbers the day's locations. With the day-level
+      // vertex-label filter (Table 3's "< 200 distinct vertex labels")
+      // it stops as soon as the day reaches the cap.
+      vertex_of.clear();
+      locations.clear();
+      ends.clear();
       for (std::uint32_t i : txns) {
-        const Transaction& t = dataset[i];
         const graph::VertexId src =
-            vertex_for(TransactionDataset::OriginKey(t));
-        const graph::VertexId dst = vertex_for(TransactionDataset::DestKey(t));
+            vertex_for(TransactionDataset::OriginKey(dataset[i]));
+        const graph::VertexId dst =
+            vertex_for(TransactionDataset::DestKey(dataset[i]));
+        if (cap > 0 && locations.size() >= cap) break;
+        ends.emplace_back(src, dst);
+      }
+      if (cap > 0 && locations.size() >= cap) {
+        ++out.days_filtered_out;
+        continue;
+      }
+      // Build the day's graph: global labels are assigned in the order
+      // the day first sees its locations.
+      LabeledGraph day_graph;
+      day_graph.Reserve(locations.size(), txns.size());
+      for (const data::LocationKey key : locations) {
+        day_graph.AddVertex(location_label(key));
+      }
+      for (std::size_t k = 0; k < txns.size(); ++k) {
         const graph::Label label = static_cast<graph::Label>(
-            out.discretizer.Bin(data::AttributeValue(t, options.attribute)));
-        day_graph.AddEdge(src, dst, label);
+            out.discretizer.Bin(
+                data::AttributeValue(dataset[txns[k]], options.attribute)));
+        day_graph.AddEdge(ends[k].first, ends[k].second, label);
       }
       if (options.deduplicate_edges) graph::DeduplicateEdges(&day_graph);
 

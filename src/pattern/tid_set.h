@@ -91,14 +91,6 @@ class TidSet {
   /// In-place union; afterwards the set is re-normalized.
   void UnionWith(const TidSet& other);
 
-  /// Offset-splice union: unions {tid + offset : tid ∈ other} into this
-  /// set — the per-shard merge kernel (DESIGN.md §16). `other` holds
-  /// shard-local tids; `offset` is the shard's global base. When the
-  /// spliced range lands entirely past this set's universe (the
-  /// ascending-shard merge the miners do), both sparse and bitmap
-  /// encodings take a pure append path with no re-merge.
-  void SpliceUnion(const TidSet& other, std::uint32_t offset);
-
   /// Forces a specific encoding (no policy consultation).
   void ConvertTo(Encoding encoding);
   /// Re-encodes per the density rule (or the forced process policy).

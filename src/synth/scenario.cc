@@ -84,6 +84,27 @@ ScenarioConfig DrawSymmetricScenario(Rng& rng) {
   return config;
 }
 
+ScenarioConfig DrawLabelRichScenario(Rng& rng) {
+  ScenarioConfig config;
+  KkOptions& g = config.generator;
+  g.num_transactions = 8 + rng.NextBounded(23);
+  g.avg_transaction_edges = rng.NextDouble(6.0, 14.0);
+  // A large pool drawn Zipf-skewed: the first few patterns recur, most
+  // of the rest are embedded once or twice.
+  g.num_seed_patterns = 15 + rng.NextBounded(36);
+  g.avg_pattern_edges = rng.NextDouble(2.0, 4.0);
+  g.num_vertex_labels = 40 + static_cast<int>(rng.NextBounded(161));
+  g.num_edge_labels = 1 + static_cast<int>(rng.NextBounded(3));
+  g.seed = rng.Next();
+  g.hub_skew = rng.NextBool(0.5) ? rng.NextDouble(0.5, 2.0) : 0.0;
+  g.motif_concentration = rng.NextDouble(0.8, 2.0);
+  config.min_support = 2 + rng.NextBounded(3);
+  config.max_edges = 3 + rng.NextBounded(2);
+  config.num_threads = rng.NextBool() ? 2 : 4;
+  config.budget_fraction = rng.NextDouble(0.25, 0.75);
+  return config;
+}
+
 std::string SerializeScenario(const ScenarioConfig& config) {
   const KkOptions& g = config.generator;
   std::string out;

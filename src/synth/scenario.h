@@ -61,6 +61,14 @@ ScenarioConfig DrawScenario(Rng& rng);
 /// non-trivial automorphisms (DrawScenario stops at max_edges 4).
 ScenarioConfig DrawSymmetricScenario(Rng& rng);
 
+/// Draws a label-rich scenario, like the temporal day graphs: 40 to 200
+/// vertex labels, so most edge types occur once, plus a pool of seed
+/// patterns whose types recur; max_edges 3-4 and min_support 2-4. Here
+/// most of FSG's level-1 types are infrequent, so its wedge index keeps
+/// only the wedges between reachable types (DrawScenario's 1-5 labels
+/// make nearly every type frequent).
+ScenarioConfig DrawLabelRichScenario(Rng& rng);
+
 /// Serializes `config` as "key: value" lines (one per field, stable order,
 /// doubles at full round-trip precision). The format is the sidecar body
 /// scenario_fuzz writes next to a failure and the corpus-file format under

@@ -17,6 +17,7 @@
 #include "common/telemetry.h"
 #include "graph/algorithms.h"
 #include "graph/graph_view.h"
+#include "graph/transaction_source.h"
 #include "gspan/gspan.h"
 #include "iso/canonical.h"
 #include "iso/vf2.h"
@@ -903,6 +904,162 @@ TEST(FsgTest, PinnedOutputOnTexturedMultigraphs) {
 #endif
     (void)checks;
     (void)hits;
+  }
+}
+
+/// 200 transactions like the temporal day graphs: most vertex labels occur
+/// once in the whole set, around a recurring core of labels 1-3. The core
+/// carries two triples frequent in one form only: (1, 1, 1) as an edge
+/// between two vertices but not as a self-loop, and (2, 2, 2) the other
+/// way round. Parallel and antiparallel pairs occur in the core and
+/// among the one-off vertices.
+std::vector<LabeledGraph> LabelRichTransactions(std::uint64_t seed) {
+  Rng rng(seed);
+  Label next_label = 100;
+  std::vector<LabeledGraph> txns;
+  for (int t = 0; t < 200; ++t) {
+    LabeledGraph g;
+    const VertexId a1 = g.AddVertex(1);
+    const VertexId a2 = g.AddVertex(1);
+    const VertexId b = g.AddVertex(2);
+    const VertexId c = g.AddVertex(3);
+    if (rng.NextBounded(5) != 0) g.AddEdge(a1, a2, 1);
+    if (rng.NextBounded(4) == 0) g.AddEdge(a1, a2, 1);  // parallel twin
+    if (rng.NextBounded(5) != 0) g.AddEdge(b, b, 2);
+    if (rng.NextBounded(5) != 0) g.AddEdge(a1, b, 3);
+    if (rng.NextBounded(5) != 0) g.AddEdge(b, c, 1);
+    if (rng.NextBounded(3) == 0) g.AddEdge(c, b, 1);  // antiparallel
+    // The infrequent forms, in 3 transactions each.
+    if (t % 67 == 0) g.AddEdge(a1, a1, 1);
+    if (t % 67 == 5) g.AddEdge(b, g.AddVertex(2), 2);
+    // One-off vertices; a few labels come from a small pool and recur.
+    const std::uint64_t n = 3 + rng.NextBounded(5);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const Label label = rng.NextBounded(4) == 0
+                              ? static_cast<Label>(50 + rng.NextBounded(6))
+                              : next_label++;
+      const VertexId v = g.AddVertex(label);
+      const auto other =
+          static_cast<VertexId>(rng.NextBounded(g.num_vertices() - 1));
+      const auto edge_label = static_cast<Label>(1 + rng.NextBounded(3));
+      if (rng.NextBool()) {
+        g.AddEdge(v, other, edge_label);
+      } else {
+        g.AddEdge(other, v, edge_label);
+      }
+      switch (rng.NextBounded(5)) {
+        case 0:
+          g.AddEdge(v, other, edge_label);
+          break;
+        case 1:
+          g.AddEdge(other, v, edge_label);
+          break;
+        case 2:
+          g.AddEdge(v, v, edge_label);
+          break;
+        default:
+          break;
+      }
+    }
+    txns.push_back(std::move(g));
+  }
+  return txns;
+}
+
+/// Pins level 1 on label-rich transactions, where most edge types are
+/// infrequent: the whole result of every run, and the level-1 index's
+/// size and the feasibility work it drives. Runs at 1 and 4 lanes,
+/// unbudgeted, at a tick cut inside level 1 and one after it, at
+/// candidate-byte cuts below and above the level-1 index's bytes, and
+/// through in-memory shards of 1 and 7 transactions.
+TEST(FsgTest, PinnedLevel1OnLabelRichTransactions) {
+  struct Pin {
+    std::uint64_t seed;
+    std::size_t min_support;
+    std::uint64_t fnv;
+    std::uint64_t pruned_by_join;
+    std::uint64_t wedge_classes;
+    std::uint64_t intersect_words;
+    std::uint64_t gallop_steps;
+  };
+  const Pin pins[] = {
+      {51, 6, 0x413f30836fe69005ULL, 68478, 434, 1232, 0},
+      {52, 5, 0xeb3ac1977a72048fULL, 89074, 574, 1232, 280},
+  };
+  const char* const kCounters[] = {
+      "fsg/feasible_pruned_by_join", "fsg/wedge_classes_indexed",
+      "tidset/intersect_words", "tidset/gallop_steps"};
+  for (const Pin& pin : pins) {
+    const auto txns = LabelRichTransactions(pin.seed);
+    std::uint64_t level1_ticks = 0;
+    for (const LabeledGraph& t : txns) level1_ticks += 1 + t.num_edges();
+    std::uint64_t h = 1469598103934665603ULL;
+    std::uint64_t counts[4] = {0, 0, 0, 0};
+    auto mine = [&](const FsgOptions& options, std::size_t shard_size) {
+      const auto before = telemetry::Registry::Global().Snapshot().counters;
+      FsgResult r;
+      if (shard_size == 0) {
+        r = MineFsg(txns, options);
+      } else {
+        std::vector<graph::GraphView> views;
+        for (const LabeledGraph& t : txns) views.emplace_back(t);
+        graph::InMemoryTransactionSource source(std::move(views), shard_size);
+        r = MineFsg(source, options);
+      }
+      const auto after = telemetry::Registry::Global().Snapshot().counters;
+      for (int i = 0; i < 4; ++i) {
+        const auto b = before.find(kCounters[i]);
+        const auto a = after.find(kCounters[i]);
+        counts[i] += (a == after.end() ? 0 : a->second) -
+                     (b == before.end() ? 0 : b->second);
+      }
+      h = HashResult(r, h);
+      return r;
+    };
+    for (const std::size_t lanes : {1, 4}) {
+      FsgOptions options;
+      options.min_support = pin.min_support;
+      options.max_edges = 4;
+      options.parallelism = common::Parallelism{lanes};
+      // Accounting-only budget: active, tick-unlimited.
+      options.budget = common::ResourceBudget(common::BudgetLimits{});
+      const FsgResult full = mine(options, 0);
+      ASSERT_EQ(full.outcome, common::MiningOutcome::kComplete);
+      ASSERT_GE(full.levels_completed, 3u) << "seed " << pin.seed;
+      for (const std::uint64_t ticks :
+           {level1_ticks / 2,
+            level1_ticks + (full.work_ticks - level1_ticks) / 2}) {
+        common::BudgetLimits limits;
+        limits.max_work_ticks = ticks;
+        options.budget = common::ResourceBudget(limits);
+        (void)mine(options, 0);
+      }
+      options.budget = common::ResourceBudget(common::BudgetLimits{});
+      FsgOptions level1 = options;
+      level1.max_edges = 1;
+      const std::uint64_t index_bytes = mine(level1, 0).peak_candidate_bytes;
+      for (const std::uint64_t cut :
+           {index_bytes - 1,
+            index_bytes + (full.peak_candidate_bytes - index_bytes) / 4}) {
+        options.max_candidate_bytes = cut;
+        (void)mine(options, 0);
+      }
+      options.max_candidate_bytes = 0;
+      for (const std::size_t shard_size : {1, 7}) {
+        EXPECT_EQ(HashResult(mine(options, shard_size), 0),
+                  HashResult(full, 0))
+            << "seed " << pin.seed << ", shards of " << shard_size;
+      }
+    }
+    EXPECT_EQ(h, pin.fnv) << "seed " << pin.seed << ": got 0x" << std::hex
+                          << h;
+#if TNMINE_TELEMETRY_ENABLED
+    EXPECT_EQ(counts[0], pin.pruned_by_join) << "seed " << pin.seed;
+    EXPECT_EQ(counts[1], pin.wedge_classes) << "seed " << pin.seed;
+    EXPECT_EQ(counts[2], pin.intersect_words) << "seed " << pin.seed;
+    EXPECT_EQ(counts[3], pin.gallop_steps) << "seed " << pin.seed;
+#endif
+    (void)counts;
   }
 }
 

@@ -127,6 +127,35 @@ TEST(TemporalPartitionTest, VertexLabelFilterDropsBusyDays) {
   EXPECT_EQ(p.days_filtered_out, 1u);
 }
 
+// The cap counts a day's distinct locations: a day that reaches it is
+// dropped without taking global labels, and a day one short of it is kept
+// with its locations labelled in first-seen order.
+TEST(TemporalPartitionTest, VertexLabelFilterBoundary) {
+  TransactionDataset ds;
+  // Day 1: 5 disjoint edges over exactly 10 locations.
+  for (int i = 0; i < 5; ++i) {
+    ds.Add(MakeTxn(1, 1, 10.0 + i, -80.0, 10.0 + i, -81.0, 100));
+  }
+  // Day 2: an 8-edge path over 9 locations.
+  for (int i = 0; i < 8; ++i) {
+    ds.Add(MakeTxn(2, 2, 50.0 + i, -70.0, 51.0 + i, -70.0, 100));
+  }
+  TemporalOptions options;
+  options.split_components = false;
+  options.max_distinct_vertex_labels = 10;
+  const TemporalPartition p = PartitionByActiveDay(ds, options);
+  ASSERT_EQ(p.transactions.size(), 1u);
+  EXPECT_EQ(p.transaction_day[0], 2);
+  EXPECT_EQ(p.days_filtered_out, 1u);
+  EXPECT_EQ(p.location_label.size(), 9u);
+  const graph::LabeledGraph& g = p.transactions[0];
+  ASSERT_EQ(g.num_vertices(), 9u);
+  EXPECT_EQ(g.num_edges(), 8u);
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_EQ(g.vertex_label(v), static_cast<graph::Label>(v));
+  }
+}
+
 TEST(TemporalPartitionTest, StatsMatchHandComputation) {
   std::vector<graph::LabeledGraph> txns;
   graph::LabeledGraph a;

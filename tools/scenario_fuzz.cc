@@ -40,12 +40,16 @@
 //                    on scenarios from synth::DrawSymmetricScenario: one
 //                    vertex label, stars and cycles, max_edges 5, where
 //                    FSG's core-table lookups meet symmetric cores.
+//   label_rich       The same four on scenarios from
+//                    synth::DrawLabelRichScenario: 40-200 vertex labels,
+//                    so most edge types are infrequent and FSG's level-1
+//                    wedge index leaves out the wedges no lookup reaches.
 //
 // Usage:
 //   scenario_fuzz [--seed N] [--iters M]
 //                 [--oracle miner_equiv|parallel|encoding|budget_prefix|
 //                           support_monotone|partition|shard_equiv|
-//                           subdue_instances|symmetric|all]
+//                           subdue_instances|symmetric|label_rich|all]
 //                 [--artifact-dir DIR] [--replay FILE] [--corpus DIR]
 //
 // Exit status 0 when every iteration passes; 1 on the first failure after
@@ -653,16 +657,28 @@ std::optional<std::string> OracleSubdueInstances(
 
 // ---------------------------------------------------------------------------
 
-/// The FSG-centred oracles again, on symmetric scenarios.
-std::optional<std::string> OracleSymmetric(
-    const std::vector<LabeledGraph>& txns, const ScenarioConfig& config) {
+/// The FSG-centred oracles again, on the scenarios of another draw; `leg`
+/// names the draw in a failure.
+std::optional<std::string> OracleFsgCentred(
+    const char* leg, const std::vector<LabeledGraph>& txns,
+    const ScenarioConfig& config) {
   for (const auto& oracle : {OracleMinerEquiv, OracleParallel,
                              OracleBudgetPrefix, OracleShardEquiv}) {
     if (std::optional<std::string> failure = oracle(txns, config)) {
-      return "symmetric: " + *failure;
+      return leg + (": " + *failure);
     }
   }
   return std::nullopt;
+}
+
+std::optional<std::string> OracleSymmetric(
+    const std::vector<LabeledGraph>& txns, const ScenarioConfig& config) {
+  return OracleFsgCentred("symmetric", txns, config);
+}
+
+std::optional<std::string> OracleLabelRich(
+    const std::vector<LabeledGraph>& txns, const ScenarioConfig& config) {
+  return OracleFsgCentred("label_rich", txns, config);
 }
 
 struct Oracle {
@@ -685,6 +701,7 @@ const std::vector<Oracle>& Oracles() {
       {"shard_equiv", OracleShardEquiv},
       {"subdue_instances", OracleSubdueInstances},
       {"symmetric", OracleSymmetric, tnmine::synth::DrawSymmetricScenario},
+      {"label_rich", OracleLabelRich, tnmine::synth::DrawLabelRichScenario},
   };
   return oracles;
 }
@@ -772,7 +789,7 @@ int Usage(const char* argv0) {
       "          [--artifact-dir DIR] [--replay FILE] [--corpus DIR]\n"
       "oracles: miner_equiv parallel encoding budget_prefix "
       "support_monotone partition shard_equiv subdue_instances "
-      "symmetric\n",
+      "symmetric label_rich\n",
       argv0);
   return 2;
 }
