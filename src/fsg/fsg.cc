@@ -109,14 +109,26 @@ std::uint32_t InternType(TypeIds& types,
   return it->second;
 }
 
-/// An exactly sized copy of a sorted tid list as a shared TidSet over the
-/// full universe. Sizing the copy makes the set's heap footprint a
-/// function of its contents alone, which keeps the byte accounting
-/// deterministic.
-std::shared_ptr<const TidSet> FlatTidSet(const std::vector<std::uint32_t>& tids,
+/// Appends `tid`, above every element, to a set being built over the
+/// first `universe` tids. A sparse set turns into a bitmap once that is
+/// the smaller encoding, so a set being built stays under about
+/// universe / 4 bytes however many shards the source holds.
+void AppendTid(TidSet& set, std::uint32_t tid, std::uint32_t universe) {
+  if (set.universe() == 0) set = TidSet::FromSorted({}, universe);
+  set.Append(tid);
+  if (set.encoding() == TidSet::Encoding::kSparse) set.Normalize();
+}
+
+/// A set built by AppendTid as a shared TidSet over the full universe,
+/// rebuilt from an exactly sized list; `built` is released first.
+/// Rebuilding makes the set's heap footprint a function of its contents
+/// alone, which keeps the byte accounting deterministic.
+std::shared_ptr<const TidSet> FlatTidSet(TidSet&& built,
                                          std::uint32_t universe) {
-  return std::make_shared<const TidSet>(TidSet::FromSorted(
-      std::vector<std::uint32_t>(tids.begin(), tids.end()), universe));
+  std::vector<std::uint32_t> tids = built.ToVector();
+  built = TidSet();
+  return std::make_shared<const TidSet>(
+      TidSet::FromSorted(std::move(tids), universe));
 }
 
 /// Roles an edge end plays in a wedge (a connected 2-edge subgraph). When
@@ -569,15 +581,15 @@ FsgResult MineFsg(graph::TransactionSource& source,
   // ---------------------------------------------------------------------
   // Level 1: frequent single-edge patterns by direct counting, in two
   // passes over the source. Both visit the shards in ascending base
-  // order, so every TID list is appended in ascending global order and
-  // the sets come out identical at any shard cut. A budget stop in either
+  // order, so every TID set is appended to in ascending global order and
+  // comes out identical at any shard cut. A budget stop in either
   // pass returns an empty (but honest) result: partially counted level-1
   // supports would under-report and cannot be emitted as frequent.
   //
-  // Pass 1 interns every edge type and lists the transactions it occurs
-  // in; it alone charges ticks. Pass 2 builds the wedge index over the
-  // edges level 2 can reach, and only where a transaction has two of them
-  // (DESIGN.md §12, "Level 1 in two passes").
+  // Pass 1 interns every edge type and builds the set of transactions it
+  // occurs in; it alone charges ticks. Pass 2 builds the wedge index over
+  // the edges level 2 can reach, and only where a transaction has two of
+  // them (DESIGN.md §12, "Level 1 in two passes").
   //
   // The level-1 index lives for the whole mine, by type id: every
   // observed edge type's TID set (frequent or not) is retained so
@@ -602,21 +614,15 @@ FsgResult MineFsg(graph::TransactionSource& source,
   std::vector<EdgeType> frequent_edges;  // for extension generation
   {
     TNMINE_TRACE_SPAN("fsg/level1");
-    // Per type id, at [k - 1], the transactions with at least k of its
-    // edges; [0] is the presence list.
-    std::vector<std::array<std::vector<std::uint32_t>, kMaxTypeMult>>
-        type_lists;
-    // Each transaction's edge types in its view's type order, from
-    // txn_begin[tid] on, with the multiplicity capped at kMaxTypeMult.
-    struct TxnType {
-      std::uint32_t id;
-      std::uint32_t mult;
-    };
-    std::vector<TxnType> txn_types;
-    std::vector<std::uint32_t> txn_begin = {0};
+    // Per type id, the transactions it occurs in; and at [k - 2] those
+    // with at least k of its edges, null until one has two (most types
+    // of label-rich input never do).
+    using MultSets = std::array<TidSet, kMaxTypeMult - 1>;
+    std::vector<TidSet> type_sets;
+    std::vector<std::unique_ptr<MultSets>> mult_sets;
     // The observed types in sorted key order.
     std::vector<std::uint32_t> order;
-    WedgeMap<std::vector<std::uint32_t>> wedge_lists;
+    WedgeMap<TidSet> wedge_sets;
     std::uint64_t wedge_keys = 0;
     common::MiningOutcome level1_stop = common::MiningOutcome::kComplete;
     try {
@@ -632,15 +638,20 @@ FsgResult MineFsg(graph::TransactionSource& source,
           // its multiplicity.
           for (std::size_t type = 0; type < t.NumEdgeTypes(); ++type) {
             const std::uint32_t id = InternType(type_ids, t.EdgeTypeAt(type));
-            if (id == type_lists.size()) type_lists.emplace_back();
-            const auto mult = static_cast<std::uint32_t>(std::min<std::size_t>(
-                t.EdgesOfType(type).size(), kMaxTypeMult));
-            for (std::uint32_t k = 0; k < mult; ++k) {
-              type_lists[id][k].push_back(tid);
+            if (id == type_sets.size()) {
+              type_sets.emplace_back();
+              mult_sets.emplace_back();
             }
-            txn_types.push_back({id, mult});
+            AppendTid(type_sets[id], tid, universe);
+            const std::size_t mult =
+                std::min<std::size_t>(t.EdgesOfType(type).size(), kMaxTypeMult);
+            if (mult < 2) continue;
+            auto& sets = mult_sets[id];
+            if (!sets) sets = std::make_unique<MultSets>();
+            for (std::size_t k = 2; k <= mult; ++k) {
+              AppendTid((*sets)[k - 2], tid, universe);
+            }
           }
-          txn_begin.push_back(static_cast<std::uint32_t>(txn_types.size()));
         }
         if (level1_stop != common::MiningOutcome::kComplete) break;
       }
@@ -650,7 +661,7 @@ FsgResult MineFsg(graph::TransactionSource& source,
         // an edge of a type in frequent_edges, so it never looks up a
         // wedge with an edge of any other triple: a type is reachable when
         // its triple is frequent in either form.
-        order.resize(type_lists.size());
+        order.resize(type_sets.size());
         std::iota(order.begin(), order.end(), 0u);
         std::sort(order.begin(), order.end(),
                   [&](std::uint32_t a, std::uint32_t b) {
@@ -669,7 +680,8 @@ FsgResult MineFsg(graph::TransactionSource& source,
                          other.edge_label} != triple) {
               break;
             }
-            frequent |= type_lists[order[b]][0].size() >= options.min_support;
+            frequent |=
+                type_sets[order[b]].Cardinality() >= options.min_support;
           }
           if (frequent) {
             frequent_edges.push_back(triple);
@@ -677,38 +689,39 @@ FsgResult MineFsg(graph::TransactionSource& source,
           }
           a = b;
         }
-        // The transactions with two or more reachable edges: the only
-        // ones with a wedge to index.
-        std::vector<std::uint32_t> wedge_txns;
-        for (std::uint32_t tid = 0; tid < universe; ++tid) {
-          std::uint32_t edges = 0;
-          for (std::uint32_t j = txn_begin[tid]; j < txn_begin[tid + 1]; ++j) {
-            if (reachable[txn_types[j].id]) edges += txn_types[j].mult;
-          }
-          if (edges >= 2) wedge_txns.push_back(tid);
+        // Each transaction's reachable edges, counted up to two from the
+        // reachable types' presence and two-or-more sets: a transaction
+        // with two is one with a wedge to index.
+        std::vector<std::uint8_t> reachable_edges(universe);
+        const auto count = [&](std::uint32_t tid) {
+          reachable_edges[tid] += reachable_edges[tid] < 2;
+        };
+        for (std::size_t id = 0; id < type_sets.size(); ++id) {
+          if (!reachable[id]) continue;
+          type_sets[id].ForEach(count);
+          if (mult_sets[id]) (*mult_sets[id])[0].ForEach(count);
         }
         // Pass 2 charges no ticks and re-pins only the shards that hold
         // such a transaction.
         std::vector<std::uint32_t> type_of;  // edge id -> type id
         std::vector<WedgeKey> txn_keys;
-        std::size_t next = 0;
         for (std::size_t s = 0; s < source.num_shards(); ++s) {
-          if (next == wedge_txns.size()) break;
           level1_stop = meter.Poll();
           if (level1_stop != common::MiningOutcome::kComplete) break;
-          const std::uint32_t end =
-              source.ShardBase(s) +
-              static_cast<std::uint32_t>(source.ShardSize(s));
-          if (wedge_txns[next] >= end) continue;
+          const std::uint8_t* edges =
+              reachable_edges.data() + source.ShardBase(s);
+          const std::size_t size = source.ShardSize(s);
+          if (std::find(edges, edges + size, 2) == edges + size) continue;
           const graph::ShardRef shard = source.Pin(s);
-          for (; next < wedge_txns.size() && wedge_txns[next] < end; ++next) {
-            const std::uint32_t tid = wedge_txns[next];
-            const graph::GraphView& t = shard.views[tid - shard.base];
+          for (std::size_t i = 0; i < size; ++i) {
+            if (edges[i] < 2) continue;
+            const graph::GraphView& t = shard.views[i];
             if (type_of.size() < t.edge_capacity()) {
               type_of.resize(t.edge_capacity());
             }
             for (std::size_t type = 0; type < t.NumEdgeTypes(); ++type) {
-              const std::uint32_t id = txn_types[txn_begin[tid] + type].id;
+              const std::uint32_t id =
+                  type_ids.ids.find(t.EdgeTypeAt(type))->second;
               const std::uint32_t of = reachable[id] ? id : kUnreachableType;
               for (const EdgeId e : t.EdgesOfType(type)) type_of[e] = of;
             }
@@ -719,8 +732,9 @@ FsgResult MineFsg(graph::TransactionSource& source,
             std::sort(txn_keys.begin(), txn_keys.end());
             txn_keys.erase(std::unique(txn_keys.begin(), txn_keys.end()),
                            txn_keys.end());
+            const auto tid = shard.base + static_cast<std::uint32_t>(i);
             for (const WedgeKey& key : txn_keys) {
-              wedge_lists[key].push_back(tid);
+              AppendTid(wedge_sets[key], tid, universe);
             }
           }
         }
@@ -739,17 +753,19 @@ FsgResult MineFsg(graph::TransactionSource& source,
       common::RecordOutcome("fsg", result.outcome);
       return result;
     }
-    type_tids.resize(type_lists.size());
-    mult_tids.resize(type_lists.size());
-    for (std::size_t id = 0; id < type_lists.size(); ++id) {
-      type_tids[id] = FlatTidSet(type_lists[id][0], universe);
-      for (std::uint32_t k = 2; k <= kMaxTypeMult; ++k) {
-        if (type_lists[id][k - 1].empty()) continue;
-        mult_tids[id][k - 2] = FlatTidSet(type_lists[id][k - 1], universe);
+    type_tids.resize(type_sets.size());
+    mult_tids.resize(type_sets.size());
+    for (std::size_t id = 0; id < type_sets.size(); ++id) {
+      type_tids[id] = FlatTidSet(std::move(type_sets[id]), universe);
+      if (!mult_sets[id]) continue;
+      for (std::size_t k = 2; k <= kMaxTypeMult; ++k) {
+        TidSet& set = (*mult_sets[id])[k - 2];
+        if (set.Empty()) continue;
+        mult_tids[id][k - 2] = FlatTidSet(std::move(set), universe);
       }
     }
-    for (const auto& [key, tids] : wedge_lists) {
-      wedge_tids.emplace(key, FlatTidSet(tids, universe));
+    for (auto& [key, set] : wedge_sets) {
+      wedge_tids.emplace(key, FlatTidSet(std::move(set), universe));
     }
     for (const std::uint32_t id : order) {
       const TidSet& set = *type_tids[id];
@@ -1127,7 +1143,8 @@ FsgResult MineFsg(graph::TransactionSource& source,
               feasible = empty_tids;
               pruned_by_join += parent_card;
             } else {
-              TidSet feas = TidSet::Intersect(parent.tids, *type_tids[added.type]);
+              TidSet feas =
+                  TidSet::Intersect(parent.tids, *type_tids[added.type]);
               for (const auto& sub : sub_sets) feas.IntersectWith(*sub);
               // Repeated edge types: an embedding maps the candidate's
               // edges injectively, so a type used m times needs >= m

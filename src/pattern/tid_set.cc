@@ -214,6 +214,57 @@ void TidSet::UnionWith(const TidSet& other) {
   Normalize();
 }
 
+void TidSet::SpliceUnion(const TidSet& other, std::uint32_t offset) {
+  const std::uint64_t bound =
+      static_cast<std::uint64_t>(offset) + other.universe_;
+  TNMINE_DCHECK(bound <= std::uint64_t{0xFFFFFFFF});
+  const std::uint32_t new_universe =
+      std::max(universe_, static_cast<std::uint32_t>(bound));
+  if (other.Empty()) {
+    universe_ = new_universe;
+    Normalize();
+    return;
+  }
+  TNMINE_COUNTER_ADD("tidset/spliced_tids", other.cardinality_);
+  if (encoding_ == Encoding::kSparse) {
+    if (sparse_.empty() || sparse_.back() < *other.begin() + offset) {
+      // Ascending-shard merge: the spliced range starts past every
+      // current element, so it appends without a re-merge.
+      sparse_.reserve(sparse_.size() + other.cardinality_);
+      other.ForEach(
+          [&](std::uint32_t tid) { sparse_.push_back(tid + offset); });
+    } else {
+      std::vector<std::uint32_t> shifted;
+      shifted.reserve(other.cardinality_);
+      other.ForEach(
+          [&](std::uint32_t tid) { shifted.push_back(tid + offset); });
+      std::vector<std::uint32_t> merged;
+      merged.reserve(sparse_.size() + shifted.size());
+      std::merge(sparse_.begin(), sparse_.end(), shifted.begin(),
+                 shifted.end(), std::back_inserter(merged));
+      merged.erase(std::unique(merged.begin(), merged.end()),
+                   merged.end());
+      sparse_ = std::move(merged);
+    }
+    cardinality_ = sparse_.size();
+  } else {
+    const std::size_t words = common::WordsForBits(new_universe);
+    if (words_.size() < words) words_.resize(words, 0);
+    other.ForEach([&](std::uint32_t tid) {
+      const std::uint32_t t = tid + offset;
+      words_[t / common::kBitsPerWord] |= std::uint64_t{1}
+                                          << (t % common::kBitsPerWord);
+    });
+    std::size_t count = 0;
+    for (const std::uint64_t word : words_) {
+      count += static_cast<std::size_t>(std::popcount(word));
+    }
+    cardinality_ = count;
+  }
+  universe_ = new_universe;
+  Normalize();
+}
+
 void TidSet::ConvertTo(Encoding encoding) {
   if (encoding == encoding_) return;
   if (encoding == Encoding::kBitmap) {
