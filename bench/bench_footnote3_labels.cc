@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "common/budget.h"
 #include "common/stopwatch.h"
 #include "fsg/fsg.h"
 #include "synth/kk_generator.h"
@@ -43,7 +44,9 @@ int main() {
     fsg::FsgOptions miner;
     miner.min_support = 2;  // low support, as in the failing 2005 runs
     miner.max_edges = 3;    // the level-3 join is where candidates explode
-    miner.max_candidate_bytes = 32ull << 20;
+    common::BudgetLimits limits;
+    limits.max_memory_bytes = 32ull << 20;
+    miner.budget = common::ResourceBudget(limits);
     Stopwatch sw;
     const fsg::FsgResult result = fsg::MineFsg(data.transactions, miner);
     const std::size_t f1 = result.frequent_per_level.empty()
@@ -54,11 +57,12 @@ int main() {
          ++level) {
       candidates += result.candidates_per_level[level];
     }
+    const bool aborted =
+        result.outcome == common::MiningOutcome::kMemoryBudgetExceeded;
     std::printf("%-9d %-9zu %-12zu %-14llu %-10s %-8.2f\n", vlabels, f1,
                 candidates,
                 static_cast<unsigned long long>(result.peak_candidate_bytes),
-                result.aborted_out_of_memory ? "yes" : "no",
-                sw.ElapsedSeconds());
+                aborted ? "yes" : "no", sw.ElapsedSeconds());
   }
   std::printf(
       "\nReading: with a chemistry-sized alphabet (paper's comparison "

@@ -13,10 +13,12 @@
 //   mine    runs FSG over the shard directory through a
 //           ShardedTransactionSource with an LRU of
 //           --max-resident-shards and a --max-memory-mb budget, then
-//           asserts the peak-RSS delta over the pre-mining baseline is
-//           at most --max-memory-mb + --rss-slack-mb. A miner that
-//           secretly materialized the whole dataset would blow this by
-//           the data multiple.
+//           asserts the mining working set is at most --max-memory-mb +
+//           --rss-slack-mb. The working set is the highest current RSS
+//           sampled (/proc/self/statm, every millisecond, on a thread)
+//           while FSG runs, minus the current RSS before it starts. A
+//           miner that secretly materialized the whole dataset would
+//           blow this by the data multiple.
 //   equiv   mines a small set in RAM and through shard files at three
 //           shard cuts x threads {1,2,4} (FSG and gSpan) and fails
 //           unless every run's (code, support, tids) stream is
@@ -35,9 +37,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <stop_token>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -62,6 +68,39 @@ std::size_t PeakRssMb() {
   struct rusage ru {};
   getrusage(RUSAGE_SELF, &ru);
   return static_cast<std::size_t>(ru.ru_maxrss) / 1024;
+}
+
+/// Current resident set in bytes, from /proc/self/statm (0 when
+/// unreadable).
+std::uint64_t CurrentRssBytes() {
+  std::FILE* statm = std::fopen("/proc/self/statm", "r");
+  if (statm == nullptr) return 0;
+  unsigned long long size = 0;
+  unsigned long long resident = 0;
+  const int fields = std::fscanf(statm, "%llu %llu", &size, &resident);
+  std::fclose(statm);
+  return fields == 2
+             ? resident * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE))
+             : 0;
+}
+
+/// Runs `work` while a thread samples the current RSS every millisecond;
+/// returns the highest sample minus the RSS before `work`, in MB.
+template <typename Work>
+double RssGrowthMb(Work&& work) {
+  const std::uint64_t before = CurrentRssBytes();
+  std::uint64_t peak = before;
+  {
+    std::jthread sampler([&](std::stop_token stop) {
+      while (!stop.stop_requested()) {
+        peak = std::max(peak, CurrentRssBytes());
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    work();
+  }  // stops and joins the sampler, also when `work` throws
+  peak = std::max(peak, CurrentRssBytes());
+  return static_cast<double>(peak - before) / (1 << 20);
 }
 
 struct BuildResult {
@@ -208,7 +247,6 @@ int main(int argc, char** argv) {
   json.EndRow();
 
   // --- mine under the ceiling -------------------------------------------
-  const std::size_t rss_before_mb = PeakRssMb();
   int rc = 0;
   {
     bench::Section("Out-of-core: FSG over " +
@@ -233,20 +271,22 @@ int main(int argc, char** argv) {
     options.parallelism = common::Parallelism{threads};
     options.budget = source_options.budget;
     Stopwatch watch;
-    const fsg::FsgResult result = fsg::MineFsg(*source, options);
+    fsg::FsgResult result;
+    const double rss_delta_mb =
+        RssGrowthMb([&] { result = fsg::MineFsg(*source, options); });
     const double mine_seconds = watch.ElapsedSeconds();
 
-    const std::size_t rss_after_mb = PeakRssMb();
-    const std::size_t rss_delta_mb = rss_after_mb - rss_before_mb;
     const std::size_t rss_limit_mb =
         static_cast<std::size_t>(ceiling_mb) + rss_slack_mb;
+    char delta_text[32];
+    std::snprintf(delta_text, sizeof(delta_text), "%.1f", rss_delta_mb);
     bench::Row("patterns", result.patterns.size());
     bench::Row("outcome", std::string(common::ToString(result.outcome)));
     bench::Row("mine_seconds", mine_seconds);
-    bench::Row("peak_rss_mb", rss_after_mb);
+    bench::Row("peak_rss_mb", PeakRssMb());
     bench::Row("rss_delta_mb (mining working set)", rss_delta_mb);
     bench::Row("rss_limit_mb (ceiling + slack)", rss_limit_mb);
-    report.AddField("rss_delta_mb", std::to_string(rss_delta_mb));
+    report.AddField("rss_delta_mb", delta_text);
     report.AddField("data_mb",
                     std::to_string(built.payload_bytes >> 20));
     json.BeginRow();
@@ -258,9 +298,9 @@ int main(int argc, char** argv) {
     json.Field("patterns", result.patterns.size());
     json.Field("seconds", mine_seconds);
     json.EndRow();
-    if (rss_delta_mb > rss_limit_mb) {
+    if (rss_delta_mb > static_cast<double>(rss_limit_mb)) {
       std::fprintf(stderr,
-                   "RSS VIOLATION: mining grew the resident set by %zu "
+                   "RSS VIOLATION: mining grew the resident set by %.1f "
                    "MB, limit %zu MB (ceiling %llu + slack %zu)\n",
                    rss_delta_mb, rss_limit_mb,
                    static_cast<unsigned long long>(ceiling_mb),

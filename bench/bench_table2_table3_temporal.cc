@@ -6,12 +6,13 @@
 // location-unique vertex labels and 7 gross-weight edge bins; Table 2
 // summarizes the result (146 transactions, avg 1,092 edges, max 4,462,
 // heavily skewed sizes). FSG could not run on this set — "insufficient
-// memory / swap space" on a 1 GB Sparc — which we reproduce with the
-// miner's candidate-memory budget.
+// memory / swap space" on a 1 GB Sparc — which we reproduce with a memory
+// ceiling on the miner's ResourceBudget.
 
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "common/budget.h"
 #include "common/stopwatch.h"
 #include "fsg/fsg.h"
 #include "partition/temporal.h"
@@ -63,22 +64,24 @@ int main() {
     // frequent-edge set huge and candidate generation blows the budget.
     fsg::FsgOptions miner;
     miner.max_edges = 3;
-    miner.max_candidate_bytes = 64ull << 20;  // modest budget, 2005-style
+    common::BudgetLimits limits;
+    limits.max_memory_bytes = 64ull << 20;  // modest budget, 2005-style
     for (const double support_fraction : {1.0, 0.02}) {
       miner.min_support = std::max<std::size_t>(
           2, static_cast<std::size_t>(
                  support_fraction *
                  static_cast<double>(big.transactions.size())));
+      miner.budget = common::ResourceBudget(limits);
       Stopwatch sw;
       const fsg::FsgResult result = fsg::MineFsg(big.transactions, miner);
+      const bool aborted =
+          result.outcome == common::MiningOutcome::kMemoryBudgetExceeded;
       std::printf("  support %.0f%% (= %zu transactions):\n",
                   100 * support_fraction, miner.min_support);
       bench::Row("  runtime seconds", sw.ElapsedSeconds());
       bench::Row("  frequent patterns", result.patterns.size());
       bench::Row("  aborted out of memory",
-                 std::string(result.aborted_out_of_memory
-                                 ? "yes (as the paper reports)"
-                                 : "no"));
+                 std::string(aborted ? "yes (as the paper reports)" : "no"));
       bench::Row("  levels completed before abort",
                  result.levels_completed);
       bench::Row("  peak candidate bytes", result.peak_candidate_bytes);

@@ -90,6 +90,12 @@ bool ResourceBudget::TryChargeMemoryNoTrip(std::uint64_t bytes) const {
   return true;
 }
 
+void ResourceBudget::ChargeMemory(std::uint64_t bytes) const {
+  if (root_ != nullptr) {
+    root_->memory_charged.fetch_add(bytes, std::memory_order_relaxed);
+  }
+}
+
 void ResourceBudget::ReleaseMemory(std::uint64_t bytes) const {
   if (root_ != nullptr) {
     root_->memory_charged.fetch_sub(bytes, std::memory_order_relaxed);

@@ -119,6 +119,11 @@ class ResourceBudget {
   /// attempt should go through TryChargeMemory so a run that recovered
   /// still reports kComplete.
   bool TryChargeMemoryNoTrip(std::uint64_t bytes) const;
+  /// Charges `bytes` unconditionally: never refuses, never trips. For
+  /// bytes a caller already holds and must count against the ceiling
+  /// (FSG's level-1 index and frontier between levels); the next
+  /// TryChargeMemory then refuses if the two together exceed it.
+  void ChargeMemory(std::uint64_t bytes) const;
   void ReleaseMemory(std::uint64_t bytes) const;
   std::uint64_t memory_charged() const;
 

@@ -1,49 +1,45 @@
 #include "common/scratch.h"
 
-#include <atomic>
-
 #include "common/telemetry.h"
 
 namespace tnmine::common {
 
 namespace {
 
-// Always-on (telemetry-off builds included): the allocation-freedom
-// contract is asserted by tests that must run in every configuration.
-std::atomic<std::uint64_t> g_acquires{0};
-std::atomic<std::uint64_t> g_reuse_hits{0};
-std::atomic<std::uint64_t> g_fresh_allocs{0};
+// The registry's scratch/* counters, added to directly rather than
+// through TNMINE_COUNTER_ADD: the allocation-freedom contract is asserted
+// by tests that must run in every configuration, telemetry-off builds
+// included.
+struct ScratchCounters {
+  telemetry::Counter& acquires;
+  telemetry::Counter& reuse_hits;
+  telemetry::Counter& fresh_allocs;
+};
+
+const ScratchCounters& Counters() {
+  static const ScratchCounters counters{
+      telemetry::Registry::Global().GetCounter("scratch/acquires"),
+      telemetry::Registry::Global().GetCounter("scratch/reuse_hits"),
+      telemetry::Registry::Global().GetCounter("scratch/fresh_allocs")};
+  return counters;
+}
 
 }  // namespace
 
 namespace internal {
 
 void NoteScratchAcquire(bool fresh) {
-  g_acquires.fetch_add(1, std::memory_order_relaxed);
-  TNMINE_COUNTER_ADD("scratch/acquires", 1);
-  if (fresh) {
-    g_fresh_allocs.fetch_add(1, std::memory_order_relaxed);
-    TNMINE_COUNTER_ADD("scratch/fresh_allocs", 1);
-  } else {
-    g_reuse_hits.fetch_add(1, std::memory_order_relaxed);
-    TNMINE_COUNTER_ADD("scratch/reuse_hits", 1);
-  }
+  const ScratchCounters& counters = Counters();
+  counters.acquires.Add(1);
+  (fresh ? counters.fresh_allocs : counters.reuse_hits).Add(1);
 }
 
 }  // namespace internal
 
 ScratchStats GetScratchStats() {
-  ScratchStats stats;
-  stats.acquires = g_acquires.load(std::memory_order_relaxed);
-  stats.reuse_hits = g_reuse_hits.load(std::memory_order_relaxed);
-  stats.fresh_allocs = g_fresh_allocs.load(std::memory_order_relaxed);
-  return stats;
-}
-
-void ResetScratchStats() {
-  g_acquires.store(0, std::memory_order_relaxed);
-  g_reuse_hits.store(0, std::memory_order_relaxed);
-  g_fresh_allocs.store(0, std::memory_order_relaxed);
+  const ScratchCounters& counters = Counters();
+  return {counters.acquires.Value(), counters.reuse_hits.Value(),
+          counters.fresh_allocs.Value()};
 }
 
 }  // namespace tnmine::common

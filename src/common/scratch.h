@@ -8,9 +8,10 @@
 
 namespace tnmine::common {
 
-/// Global scratch-pool statistics, always on (independent of the
-/// TNMINE_TELEMETRY kill switch) so tests can assert steady-state
-/// allocation-freedom even in telemetry-off builds.
+/// Global scratch-pool statistics: the registry's scratch/* counters,
+/// kept in every build (independent of the TNMINE_TELEMETRY kill switch)
+/// so tests can assert steady-state allocation-freedom even in
+/// telemetry-off builds.
 ///
 /// `acquires` is a deterministic function of the work performed (one per
 /// lease taken). `reuse_hits` and `fresh_allocs` split those acquires by
@@ -25,11 +26,10 @@ struct ScratchStats {
 };
 
 ScratchStats GetScratchStats();
-void ResetScratchStats();
 
 namespace internal {
-/// Records one lease acquisition (also mirrored to the telemetry
-/// counters scratch/acquires and scratch/reuse_hits|fresh_allocs).
+/// Records one lease acquisition in the counters scratch/acquires and
+/// scratch/reuse_hits or scratch/fresh_allocs.
 void NoteScratchAcquire(bool fresh);
 }  // namespace internal
 

@@ -17,7 +17,8 @@
 /// root CMakeLists) to define TNMINE_TELEMETRY_DISABLED and compile every
 /// TNMINE_COUNTER_* / TNMINE_GAUGE_* / TNMINE_TRACE_SPAN macro to a no-op
 /// that does not evaluate its arguments. The registry classes below still
-/// exist in OFF builds (RunReports stay writable, just empty), only the
+/// exist in OFF builds (RunReports stay writable, holding only the
+/// scratch/* counters, which common/scratch.cc adds to directly); only the
 /// instrumentation call sites vanish.
 #if defined(TNMINE_TELEMETRY_DISABLED)
 #define TNMINE_TELEMETRY_ENABLED 0

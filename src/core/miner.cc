@@ -12,25 +12,22 @@ namespace tnmine::core {
 namespace {
 
 /// Runs the selected miner over a transaction set and returns the
-/// frequent patterns. `oom` is set when FSG's memory budget aborted;
-/// `outcome`/`ticks` receive the miner's MiningOutcome and tick spend.
+/// frequent patterns; `outcome`/`ticks` receive the miner's MiningOutcome
+/// and tick spend.
 std::vector<pattern::FrequentPattern> RunMiner(
     const std::vector<graph::LabeledGraph>& transactions, MinerKind miner,
     std::size_t min_support, std::size_t max_edges,
-    std::uint64_t max_candidate_bytes, common::Parallelism parallelism,
-    const common::ResourceBudget& budget, bool* oom,
+    common::Parallelism parallelism, const common::ResourceBudget& budget,
     common::MiningOutcome* outcome, std::uint64_t* ticks) {
   if (miner == MinerKind::kFsg) {
     fsg::FsgOptions options;
     options.min_support = min_support;
     options.max_edges = max_edges;
-    options.max_candidate_bytes = max_candidate_bytes;
     options.parallelism = parallelism;
     options.budget = budget;
     fsg::FsgResult result = fsg::MineFsg(transactions, options);
-    if (oom != nullptr) *oom = result.aborted_out_of_memory;
-    if (outcome != nullptr) *outcome = result.outcome;
-    if (ticks != nullptr) *ticks = result.work_ticks;
+    *outcome = result.outcome;
+    *ticks = result.work_ticks;
     return std::move(result.patterns);
   }
   gspan::GspanOptions options;
@@ -39,9 +36,8 @@ std::vector<pattern::FrequentPattern> RunMiner(
   options.parallelism = parallelism;
   options.budget = budget;
   gspan::GspanResult result = gspan::MineGspan(transactions, options);
-  if (oom != nullptr) *oom = false;
-  if (outcome != nullptr) *outcome = result.outcome;
-  if (ticks != nullptr) *ticks = result.work_ticks;
+  *outcome = result.outcome;
+  *ticks = result.work_ticks;
   return std::move(result.patterns);
 }
 
@@ -69,7 +65,6 @@ StructuralMiningResult MineStructuralPatterns(
   struct RepOutcome {
     std::size_t partitions = 0;
     std::vector<pattern::FrequentPattern> found;
-    bool oom = false;
     common::MiningOutcome outcome = common::MiningOutcome::kComplete;
     std::uint64_t ticks = 0;
   };
@@ -103,9 +98,9 @@ StructuralMiningResult MineStructuralPatterns(
         outcome.found =
             RunMiner(split_result.partitions, options.miner,
                      options.min_support, options.max_pattern_edges,
-                     options.max_candidate_bytes, options.parallelism,
+                     options.parallelism,
                      RemainderBudget(rep_budget, split_result.work_ticks),
-                     &outcome.oom, &mine_outcome, &mine_ticks);
+                     &mine_outcome, &mine_ticks);
         outcome.outcome =
             common::CombineOutcomes(outcome.outcome, mine_outcome);
         outcome.ticks += mine_ticks;
@@ -113,7 +108,6 @@ StructuralMiningResult MineStructuralPatterns(
       });
   for (RepOutcome& outcome : outcomes) {
     result.partitions_per_repetition.push_back(outcome.partitions);
-    result.any_out_of_memory |= outcome.oom;
     result.patterns_per_repetition.push_back(outcome.found.size());
     result.outcome = common::CombineOutcomes(result.outcome, outcome.outcome);
     result.work_ticks += outcome.ticks;
@@ -151,16 +145,14 @@ TemporalMiningResult MineTemporalPatterns(
       1, static_cast<std::size_t>(
              options.min_support_fraction *
              static_cast<double>(result.partition.transactions.size())));
-  bool oom = false;
   common::MiningOutcome mine_outcome = common::MiningOutcome::kComplete;
   std::uint64_t mine_ticks = 0;
   std::vector<pattern::FrequentPattern> found = RunMiner(
       result.partition.transactions, options.miner,
       result.absolute_min_support, options.max_pattern_edges,
-      options.max_candidate_bytes, options.parallelism,
-      RemainderBudget(options.budget, result.partition.work_ticks), &oom,
+      options.parallelism,
+      RemainderBudget(options.budget, result.partition.work_ticks),
       &mine_outcome, &mine_ticks);
-  result.out_of_memory = oom;
   result.outcome = common::CombineOutcomes(result.outcome, mine_outcome);
   result.work_ticks += mine_ticks;
   for (pattern::FrequentPattern& p : found) {

@@ -34,8 +34,6 @@ struct StructuralMiningOptions {
   std::size_t max_pattern_edges = 4;
   MinerKind miner = MinerKind::kFsg;
   std::uint64_t seed = 1;
-  /// Forwarded to FSG's candidate-memory budget (0 = unlimited).
-  std::uint64_t max_candidate_bytes = 0;
   /// Lanes shared between the repetition level and the miner beneath it:
   /// independent (SplitGraph, mine) repetitions run concurrently, and
   /// whatever lanes repetitions leave idle the per-call miners use (a
@@ -57,7 +55,6 @@ struct StructuralMiningResult {
   std::vector<std::size_t> partitions_per_repetition;
   /// Frequent patterns found per repetition (before the union).
   std::vector<std::size_t> patterns_per_repetition;
-  bool any_out_of_memory = false;
   /// Combined outcome over every repetition's split + mine (severity
   /// max). Anything but kComplete means the union is a valid partial
   /// result: patterns present are genuinely frequent in the repetitions
@@ -82,7 +79,6 @@ struct TemporalMiningOptions {
   double min_support_fraction = 0.05;
   std::size_t max_pattern_edges = 4;
   MinerKind miner = MinerKind::kFsg;
-  std::uint64_t max_candidate_bytes = 0;
   /// Forwarded to the underlying miner (see FsgOptions / GspanOptions).
   common::Parallelism parallelism;
   /// Resource governance: the day partitioner spends its (deterministic)
@@ -96,7 +92,6 @@ struct TemporalMiningResult {
   partition::TemporalPartition partition;
   partition::TemporalStats stats;
   std::size_t absolute_min_support = 0;
-  bool out_of_memory = false;
   /// Combined partition + mining outcome (severity max).
   common::MiningOutcome outcome = common::MiningOutcome::kComplete;
   std::uint64_t work_ticks = 0;

@@ -50,8 +50,8 @@ struct EdgeType {
 /// multiplicities fall back to this set (weaker but still exact).
 constexpr std::uint32_t kMaxTypeMult = 4;
 
-/// Per-pattern memory footprint used for the OOM budget. The TID set
-/// reports its exact heap footprint (DESIGN.md §12); the rest stays a
+/// Per-pattern memory footprint charged to the memory ceiling. The TID
+/// set reports its exact heap footprint (DESIGN.md §12); the rest stays a
 /// structural estimate.
 std::uint64_t EstimateBytes(const FrequentPattern& p) {
   return 64 + 8 * p.graph.num_vertices() + 16 * p.graph.num_edges() +
@@ -744,7 +744,6 @@ FsgResult MineFsg(graph::TransactionSource& source,
       // evicting everything else. Level 1 is incomplete, so nothing can be
       // emitted honestly.
       level1_stop = common::MiningOutcome::kMemoryBudgetExceeded;
-      result.aborted_out_of_memory = true;
     }
     TNMINE_COUNTER_ADD("fsg/level1_wedge_keys", wedge_keys);
     if (level1_stop != common::MiningOutcome::kComplete) {
@@ -838,13 +837,22 @@ FsgResult MineFsg(graph::TransactionSource& source,
   std::vector<LabeledGraph> cores;
   std::unordered_map<std::string, std::uint32_t> core_index;
 
-  auto retained_bytes = [&] {
+  // Bytes retained from one level to the next: the level-1 index, the
+  // frontier and the previous level's sets. They stay charged to the
+  // memory ceiling while they are held, by a charge that cannot refuse:
+  // the next candidate is what the ceiling refuses, even when the
+  // retained bytes alone exceed it.
+  std::uint64_t frontier_bytes = 0;
+  const MemoryRelease release_retained{&options.budget, &frontier_bytes};
+  auto retain = [&] {
     std::uint64_t bytes = type_index_bytes;
     for (const FrequentPattern& p : frontier) bytes += EstimateBytes(p);
     for (const auto& set : previous_sets) bytes += set->MemoryBytes();
-    return bytes;
+    options.budget.ReleaseMemory(frontier_bytes);
+    options.budget.ChargeMemory(bytes);
+    frontier_bytes = bytes;
   };
-  std::uint64_t frontier_bytes = retained_bytes();
+  retain();
   result.peak_candidate_bytes = frontier_bytes;
 
   for (const FrequentPattern& p : frontier) {
@@ -856,8 +864,7 @@ FsgResult MineFsg(graph::TransactionSource& source,
   // transaction, as the images of its vertices (num_vertices() of them
   // per TID, in ascending-TID order). Empty for a pattern that keeps
   // none: every level-1 and level-2 pattern, and any whose bytes the
-  // memory ceiling refused. The bytes are charged against options.budget
-  // only, never against max_candidate_bytes, and handed back before the
+  // memory ceiling refused. Their bytes are handed back before the
   // ceiling could refuse a candidate, so in memory they change speed, not
   // output (out of core they share the ceiling with shard pins).
   std::vector<std::vector<VertexId>> frontier_witnesses(frontier.size());
@@ -911,12 +918,12 @@ FsgResult MineFsg(graph::TransactionSource& source,
     // canonical-code cache.
     std::unordered_set<WedgeKey, WedgeKeyHash> level2_seen;
     std::uint64_t candidate_bytes = 0;
-    bool oom = false;
     // A stop that cut the core table short ends the level before
     // generation reads the table.
     common::MiningOutcome level_outcome = core.stopped;
-    // Bytes charged against the shared memory ceiling for this level's
-    // candidate set, released when the level's scope ends (break or not).
+    // Bytes charged against the memory ceiling for this level's
+    // candidate set, beside the retained frontier_bytes; released when the
+    // level's scope ends (break or not).
     std::uint64_t level_charged = 0;
     const MemoryRelease release{&options.budget, &level_charged};
     // Level-local telemetry, flushed once per level so the hot extension
@@ -940,7 +947,7 @@ FsgResult MineFsg(graph::TransactionSource& source,
       TNMINE_TRACE_SPAN("fsg/generate");
       for (std::size_t parent_index = 0; parent_index < frontier.size();
            ++parent_index) {
-        if (oom || level_outcome != common::MiningOutcome::kComplete) break;
+        if (level_outcome != common::MiningOutcome::kComplete) break;
         const FrequentPattern& parent = frontier[parent_index];
         const LabeledGraph& pg = parent.graph;
         const auto own = static_cast<std::uint32_t>(parent_index);
@@ -966,9 +973,7 @@ FsgResult MineFsg(graph::TransactionSource& source,
         const auto fresh = static_cast<VertexId>(pg.num_vertices());
         // Considers pg plus an edge of type t from src to dst.
         auto consider = [&](VertexId src, VertexId dst, const EdgeType& t) {
-          if (oom || level_outcome != common::MiningOutcome::kComplete) {
-            return;
-          }
+          if (level_outcome != common::MiningOutcome::kComplete) return;
           (void)TNMINE_FAILPOINT("fsg/consider");
           ++extensions_considered;
           // One tick per extension plus one per edge covers the canonical
@@ -1205,17 +1210,12 @@ FsgResult MineFsg(graph::TransactionSource& source,
           result.peak_candidate_bytes =
               std::max(result.peak_candidate_bytes,
                        frontier_bytes + candidate_bytes);
-          if (options.max_candidate_bytes != 0 &&
-              frontier_bytes + candidate_bytes > options.max_candidate_bytes) {
-            oom = true;
-            return;
-          }
           if (!options.budget.TryChargeMemoryNoTrip(delta)) {
             // Witnesses only save time: give their bytes back before the
             // ceiling refuses a candidate.
             drop_witnesses();
             if (!options.budget.TryChargeMemory(delta)) {
-              oom = true;
+              level_outcome = common::MiningOutcome::kMemoryBudgetExceeded;
               return;
             }
           }
@@ -1239,19 +1239,15 @@ FsgResult MineFsg(graph::TransactionSource& source,
               // case at that existing vertex.)
               consider(fresh, u, t);
             }
-            if (oom || level_outcome != common::MiningOutcome::kComplete) {
-              break;
-            }
+            if (level_outcome != common::MiningOutcome::kComplete) break;
           }
-          if (oom || level_outcome != common::MiningOutcome::kComplete) {
-            break;
-          }
+          if (level_outcome != common::MiningOutcome::kComplete) break;
         }
       }
     } catch (const std::bad_alloc&) {
       // Allocation failure (real or injected) while building the level's
-      // candidate set: degrade exactly like the candidate-byte ceiling.
-      oom = true;
+      // candidate set: degrade exactly like the memory ceiling.
+      level_outcome = common::MiningOutcome::kMemoryBudgetExceeded;
     }
     result.candidates_per_level.push_back(candidates.size());
     TNMINE_COUNTER_ADD("fsg/extensions_considered", extensions_considered);
@@ -1262,12 +1258,6 @@ FsgResult MineFsg(graph::TransactionSource& source,
     TNMINE_COUNTER_ADD("fsg/extensions_not_canonical", not_canonical);
     TNMINE_COUNTER_ADD("fsg/feasible_pruned_by_join", pruned_by_join);
     TNMINE_COUNTER_ADD("fsg/candidates_generated", candidates.size());
-    if (oom) {
-      result.aborted_out_of_memory = true;
-      result.outcome = common::CombineOutcomes(
-          result.outcome, common::MiningOutcome::kMemoryBudgetExceeded);
-      break;
-    }
     if (level_outcome != common::MiningOutcome::kComplete) {
       // Budget stop mid-generation: the level's candidate set is partial,
       // so none of it can be honestly counted. Keep completed levels.
@@ -1544,7 +1534,7 @@ FsgResult MineFsg(graph::TransactionSource& source,
     result.levels_completed = level;
     frontier = std::move(next_frontier);
     frontier_witnesses = std::move(next_witnesses);
-    frontier_bytes = retained_bytes();
+    retain();
   }
   result.work_ticks = meter.ticks_spent();
   common::RecordOutcome("fsg", result.outcome);

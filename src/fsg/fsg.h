@@ -26,11 +26,6 @@ struct FsgOptions {
   std::size_t min_support = 2;
   /// Stop after patterns of this many edges (0 = unlimited).
   std::size_t max_edges = 0;
-  /// Candidate-memory budget in bytes (0 = unlimited). When the estimated
-  /// footprint of a level's candidate set exceeds the budget, mining
-  /// aborts and the result is flagged — reproducing the out-of-memory
-  /// failures the paper hit on its 1 GB Sparc (Sections 6.1 and 8).
-  std::uint64_t max_candidate_bytes = 0;
   /// Per-containment-check VF2 step budget (0 = unlimited); a safety valve
   /// for pathological transactions. A check that exhausts it leaves the
   /// candidate's support unknown, so the candidate ends as a work-allotment
@@ -46,15 +41,18 @@ struct FsgOptions {
   /// thread counts by metering the sequential phases directly and, for
   /// the parallel support-counting phase, charging each candidate's
   /// (scheduling-independent) check count in sorted-candidate order after
-  /// the parallel map — see MineFsg. Default: inert (unbounded).
+  /// the parallel map — see MineFsg. The memory ceiling bounds the
+  /// estimated bytes FSG retains between levels plus the level's
+  /// candidate set; the candidate that would cross it ends the run as
+  /// kMemoryBudgetExceeded, which reproduces the out-of-memory failures
+  /// the paper hit on its 1 GB Sparc (Sections 6.1 and 8). Default: inert
+  /// (unbounded).
   common::ResourceBudget budget;
 };
 
 /// Mining outcome with level-wise diagnostics.
 struct FsgResult {
   std::vector<pattern::FrequentPattern> patterns;
-  /// True when the candidate-memory budget aborted the run.
-  bool aborted_out_of_memory = false;
   /// Number of completed levels (max pattern size reached, in edges).
   std::size_t levels_completed = 0;
   /// Candidates generated per level (index 0 = 1-edge patterns; for level
@@ -62,7 +60,8 @@ struct FsgResult {
   std::vector<std::size_t> candidates_per_level;
   /// Frequent patterns surviving per level.
   std::vector<std::size_t> frequent_per_level;
-  /// Peak estimated candidate-set footprint in bytes.
+  /// Peak estimated footprint in bytes: the retained level-1 index,
+  /// frontier and previous level's sets plus a level's candidate set.
   std::uint64_t peak_candidate_bytes = 0;
   /// How the run ended. Anything but kComplete means `patterns` holds the
   /// completed levels (plus any prefix of the truncated level's sorted

@@ -100,10 +100,13 @@ class InMemoryTransactionSource : public TransactionSource {
 /// Out-of-core transaction source over a set of shard files: at most
 /// `max_resident_shards` are mapped at once, managed LRU; each resident
 /// shard's mapped bytes (plus view bookkeeping) are charged to the
-/// ResourceBudget memory ceiling, so `--max-memory-mb` honestly bounds
-/// the mining working set. When even after evicting every unpinned shard
-/// a charge cannot fit, Pin throws std::bad_alloc — the same signal the
-/// miners already absorb into kMemoryBudgetExceeded partial results.
+/// ResourceBudget memory ceiling, which they share with what the miner
+/// charges (FSG's retained index, frontier and candidates; gSpan's
+/// projections), so `--max-memory-mb` bounds the tracked working set.
+/// Allocations nobody charges (FSG's level-1 sets while they are built,
+/// for one) stay outside it. When even after evicting every unpinned
+/// shard a charge cannot fit, Pin throws std::bad_alloc — the same signal
+/// the miners already absorb into kMemoryBudgetExceeded partial results.
 ///
 /// Only shard headers are read at open time (one 64-byte pread per
 /// file); mappings are created on first pin.

@@ -91,13 +91,6 @@ class TidSet {
   /// In-place union; afterwards the set is re-normalized.
   void UnionWith(const TidSet& other);
 
-  /// Offset-splice union: unions {tid + offset : tid ∈ other} into this
-  /// set. `other` holds shard-local tids; `offset` is the shard's global
-  /// base. When the spliced range lands entirely past this set's
-  /// universe (an ascending-shard merge), both sparse and bitmap
-  /// encodings take a pure append path with no re-merge.
-  void SpliceUnion(const TidSet& other, std::uint32_t offset);
-
   /// Forces a specific encoding (no policy consultation).
   void ConvertTo(Encoding encoding);
   /// Re-encodes per the density rule (or the forced process policy).

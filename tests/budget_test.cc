@@ -127,6 +127,21 @@ TEST(BudgetTest, MemoryCeilingTripsAndReleases) {
   EXPECT_EQ(budget.StopReason(), MiningOutcome::kMemoryBudgetExceeded);
 }
 
+TEST(BudgetTest, UnconditionalChargeNeverRefusesButCounts) {
+  BudgetLimits limits;
+  limits.max_memory_bytes = 100;
+  const ResourceBudget budget(limits);
+  budget.ChargeMemory(150);  // held bytes: counted, never refused
+  EXPECT_EQ(budget.memory_charged(), 150u);
+  EXPECT_EQ(budget.StopReason(), MiningOutcome::kComplete);
+  EXPECT_FALSE(budget.TryChargeMemoryNoTrip(1));
+  EXPECT_EQ(budget.StopReason(), MiningOutcome::kComplete);
+  EXPECT_FALSE(budget.TryChargeMemory(1));  // the next charge trips
+  EXPECT_EQ(budget.StopReason(), MiningOutcome::kMemoryBudgetExceeded);
+  budget.ReleaseMemory(150);
+  EXPECT_EQ(budget.memory_charged(), 0u);
+}
+
 TEST(BudgetTest, CancelTokenWinsOverEverything) {
   auto cancel = std::make_shared<CancelToken>();
   BudgetLimits limits;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/budget.h"
 #include "data/generator.h"
 #include "synth/planted.h"
 
@@ -101,6 +104,33 @@ TEST(TemporalMiningTest, MinesRepeatedRoutesFromSyntheticData) {
   const auto* top = result.registry.SortedBySupport().front();
   EXPECT_EQ(top->graph.CountDistinctVertexLabels(),
             top->graph.num_vertices());
+}
+
+TEST(TemporalMiningTest, MemoryCeilingEndsTheRunAsMemoryBudgetExceeded) {
+  const auto ds =
+      data::GenerateTransportData(data::GeneratorConfig::SmallScale());
+  TemporalMiningOptions options;
+  options.min_support_fraction = 0.05;
+  options.max_pattern_edges = 3;
+  const TemporalMiningResult full = MineTemporalPatterns(ds, options);
+  ASSERT_EQ(full.outcome, common::MiningOutcome::kComplete);
+  std::size_t max_edges = 0;
+  for (const auto* p : full.registry.SortedBySupport()) {
+    max_edges = std::max(max_edges, p->graph.num_edges());
+  }
+  ASSERT_GE(max_edges, 2u);  // so level 2 generates candidates
+  // FSG's level-1 index alone exceeds 1 KiB, so the first level-2
+  // candidate is refused and only the 1-edge patterns are reported.
+  common::BudgetLimits limits;
+  limits.max_memory_bytes = 1024;
+  options.budget = common::ResourceBudget(limits);
+  const TemporalMiningResult cut = MineTemporalPatterns(ds, options);
+  EXPECT_EQ(cut.outcome, common::MiningOutcome::kMemoryBudgetExceeded);
+  EXPECT_FALSE(cut.registry.empty());
+  for (const auto* p : cut.registry.SortedBySupport()) {
+    EXPECT_EQ(p->graph.num_edges(), 1u);
+  }
+  EXPECT_EQ(options.budget.memory_charged(), 0u);
 }
 
 TEST(TemporalMiningTest, EmptyDataset) {

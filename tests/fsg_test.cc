@@ -1,12 +1,16 @@
 #include "fsg/fsg.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <initializer_list>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -17,6 +21,7 @@
 #include "common/telemetry.h"
 #include "graph/algorithms.h"
 #include "graph/graph_view.h"
+#include "graph/shard_store.h"
 #include "graph/transaction_source.h"
 #include "gspan/gspan.h"
 #include "iso/canonical.h"
@@ -204,13 +209,17 @@ TEST(FsgTest, MemoryBudgetAborts) {
   }
   FsgOptions options;
   options.min_support = 2;
-  options.max_candidate_bytes = 512;  // absurdly small: must trip
+  common::BudgetLimits limits;
+  limits.max_memory_bytes = 512;  // absurdly small: must trip
+  options.budget = common::ResourceBudget(limits);
   const FsgResult r = MineFsg(txns, options);
-  EXPECT_TRUE(r.aborted_out_of_memory);
+  EXPECT_EQ(r.outcome, common::MiningOutcome::kMemoryBudgetExceeded);
   // Level-1 patterns are still reported (the abort happens at candidate
   // generation, as FSG's real OOM did).
   EXPECT_FALSE(r.patterns.empty());
+  EXPECT_EQ(r.levels_completed, 1u);
   EXPECT_GT(r.peak_candidate_bytes, 512u);
+  EXPECT_EQ(options.budget.memory_charged(), 0u);
 }
 
 TEST(FsgTest, LevelDiagnosticsConsistent) {
@@ -806,7 +815,8 @@ std::uint64_t HashResult(const FsgResult& r, std::uint64_t h) {
     text += ' ';
   };
   add(static_cast<int>(r.outcome));
-  add(static_cast<int>(r.aborted_out_of_memory));
+  add(static_cast<int>(r.outcome ==
+                       common::MiningOutcome::kMemoryBudgetExceeded));
   add(r.levels_completed);
   add(r.peak_candidate_bytes);
   add(r.work_ticks);
@@ -839,8 +849,8 @@ std::uint64_t HashResult(const FsgResult& r, std::uint64_t h) {
 /// supports and TIDs; candidates and frequent patterns per level; peak
 /// candidate bytes, ticks and outcome) on symmetric and mixed-label
 /// multigraphs up to 5 edges, at 1 and 4 lanes, unbudgeted, at three tick
-/// cuts and at two candidate-byte cuts, with the support checks and
-/// witness hits they made. Any change to which candidates generation
+/// cuts and at two memory ceilings, with the support checks and witness
+/// hits they made. Any change to which candidates generation
 /// keeps, from which parent, in which order, or what it charges, moves a
 /// hash.
 TEST(FsgTest, PinnedOutputOnTexturedMultigraphs) {
@@ -854,7 +864,7 @@ TEST(FsgTest, PinnedOutputOnTexturedMultigraphs) {
   };
   const Pin pins[] = {
       {41, true, 5, 0x97c5964389825ab5ULL, 12128, 5782},
-      {42, true, 4, 0x0bfe28688d92663bULL, 15812, 7230},
+      {42, true, 4, 0x0bfe28688d92663bULL, 15812, 7248},
       {43, false, 2, 0xf926e581e43703e7ULL, 364, 316},
       {44, false, 2, 0xe0fe13d3763d1f31ULL, 320, 180},
   };
@@ -889,10 +899,11 @@ TEST(FsgTest, PinnedOutputOnTexturedMultigraphs) {
         options.budget = common::ResourceBudget(limits);
         (void)mine(options);
       }
-      options.budget = common::ResourceBudget(common::BudgetLimits{});
       for (const double fraction : {0.95, 0.6}) {
-        options.max_candidate_bytes = static_cast<std::uint64_t>(
+        common::BudgetLimits limits;
+        limits.max_memory_bytes = static_cast<std::uint64_t>(
             static_cast<double>(full.peak_candidate_bytes) * fraction);
+        options.budget = common::ResourceBudget(limits);
         (void)mine(options);
       }
     }
@@ -969,9 +980,9 @@ std::vector<LabeledGraph> LabelRichTransactions(std::uint64_t seed) {
 /// Pins level 1 on label-rich transactions, where most edge types are
 /// infrequent: the whole result of every run, and the level-1 index's
 /// size and the feasibility work it drives. Runs at 1 and 4 lanes,
-/// unbudgeted, at a tick cut inside level 1 and one after it, at
-/// candidate-byte cuts below and above the level-1 index's bytes, and
-/// through in-memory shards of 1 and 7 transactions.
+/// unbudgeted, at a tick cut inside level 1 and one after it, at memory
+/// ceilings below and above the level-1 index's bytes, and through
+/// in-memory shards of 1 and 7 transactions.
 TEST(FsgTest, PinnedLevel1OnLabelRichTransactions) {
   struct Pin {
     std::uint64_t seed;
@@ -1041,10 +1052,12 @@ TEST(FsgTest, PinnedLevel1OnLabelRichTransactions) {
       for (const std::uint64_t cut :
            {index_bytes - 1,
             index_bytes + (full.peak_candidate_bytes - index_bytes) / 4}) {
-        options.max_candidate_bytes = cut;
+        common::BudgetLimits limits;
+        limits.max_memory_bytes = cut;
+        options.budget = common::ResourceBudget(limits);
         (void)mine(options, 0);
       }
-      options.max_candidate_bytes = 0;
+      options.budget = common::ResourceBudget(common::BudgetLimits{});
       for (const std::size_t shard_size : {1, 7}) {
         EXPECT_EQ(HashResult(mine(options, shard_size), 0),
                   HashResult(full, 0))
@@ -1061,6 +1074,105 @@ TEST(FsgTest, PinnedLevel1OnLabelRichTransactions) {
 #endif
     (void)counts;
   }
+}
+
+/// The memory ceiling bounds what FSG retains between levels (the
+/// level-1 index, the frontier and the previous level's sets) plus the
+/// level's candidates, not the candidates alone: one byte under that sum
+/// refuses level 2's last candidate, although the candidates alone would
+/// fit twice over.
+TEST(FsgTest, MemoryCeilingCountsRetainedBytes) {
+  const auto txns = LabelRichTransactions(51);
+  FsgOptions options;
+  options.min_support = 6;
+  options.max_edges = 1;
+  const std::uint64_t retained = MineFsg(txns, options).peak_candidate_bytes;
+  options.max_edges = 2;
+  // Accounting-only budget: active, so ticks are counted, but unlimited.
+  options.budget = common::ResourceBudget(common::BudgetLimits{});
+  const FsgResult full = MineFsg(txns, options);
+  ASSERT_EQ(full.outcome, common::MiningOutcome::kComplete);
+  ASSERT_EQ(full.levels_completed, 2u);
+  const std::uint64_t candidates = full.peak_candidate_bytes - retained;
+  ASSERT_GT(candidates, 0u);
+  ASSERT_LT(2 * candidates, full.peak_candidate_bytes - 1);
+  common::BudgetLimits limits;
+  limits.max_memory_bytes = full.peak_candidate_bytes - 1;
+  options.budget = common::ResourceBudget(limits);
+  const FsgResult cut = MineFsg(txns, options);
+  EXPECT_EQ(cut.outcome, common::MiningOutcome::kMemoryBudgetExceeded);
+  EXPECT_EQ(cut.levels_completed, 1u);
+  EXPECT_EQ(cut.patterns.size(), full.frequent_per_level[0]);
+  EXPECT_EQ(cut.peak_candidate_bytes, full.peak_candidate_bytes);
+  EXPECT_EQ(options.budget.memory_charged(), 0u);
+  limits.max_memory_bytes = full.peak_candidate_bytes;
+  options.budget = common::ResourceBudget(limits);
+  EXPECT_EQ(HashResult(MineFsg(txns, options), 0), HashResult(full, 0));
+  EXPECT_EQ(options.budget.memory_charged(), 0u);
+}
+
+/// Every byte charged to the memory ceiling is handed back however the
+/// run ends, at any ceiling: in memory, through in-memory shards, and out
+/// of core, where the resident shards share the ceiling and hold their
+/// charges until the source is gone.
+TEST(FsgTest, MemoryChargesAreReleasedAtEveryCeiling) {
+  const auto txns = TexturedTransactions(43, false);
+  FsgOptions options;
+  options.min_support = 2;
+  options.max_edges = 5;
+  const FsgResult full = MineFsg(txns, options);
+  ASSERT_EQ(full.outcome, common::MiningOutcome::kComplete);
+  const std::string dir = ::testing::TempDir() + "/fsg-memory-release";
+  ::mkdir(dir.c_str(), 0755);
+  std::size_t num_shards = 0;
+  for (std::size_t i = 0; i < txns.size(); i += 4) {
+    graph::ShardWriter writer(dir + "/" + graph::ShardFileName(num_shards++));
+    for (std::size_t j = i; j < std::min(i + 4, txns.size()); ++j) {
+      writer.Add(txns[j]);
+    }
+    std::string error;
+    ASSERT_TRUE(writer.Finish(&error)) << error;
+  }
+  std::vector<std::uint64_t> ceilings = {0, 1};
+  for (const double fraction : {0.1, 0.5, 0.9, 1.0, 2.0}) {
+    ceilings.push_back(static_cast<std::uint64_t>(
+        static_cast<double>(full.peak_candidate_bytes) * fraction));
+  }
+  for (const std::uint64_t ceiling : ceilings) {
+    common::BudgetLimits limits;
+    limits.max_memory_bytes = ceiling;
+    for (const std::string_view way :
+         {"flat", "in-memory shards", "shard files"}) {
+      options.budget = common::ResourceBudget(limits);
+      FsgResult r;
+      if (way == "flat") {
+        r = MineFsg(txns, options);
+      } else if (way == "in-memory shards") {
+        std::vector<graph::GraphView> views;
+        for (const LabeledGraph& t : txns) views.emplace_back(t);
+        graph::InMemoryTransactionSource source(std::move(views), 4);
+        r = MineFsg(source, options);
+      } else {
+        graph::ShardedTransactionSource::Options source_options;
+        source_options.budget = options.budget;
+        std::string error;
+        const auto source =
+            graph::ShardedTransactionSource::Open(dir, source_options, &error);
+        ASSERT_NE(source, nullptr) << error;
+        r = MineFsg(*source, options);
+      }
+      if (ceiling == 1) {
+        EXPECT_EQ(r.outcome, common::MiningOutcome::kMemoryBudgetExceeded)
+            << way;
+      }
+      EXPECT_EQ(options.budget.memory_charged(), 0u)
+          << "ceiling " << ceiling << ", " << way;
+    }
+  }
+  for (std::size_t i = 0; i < num_shards; ++i) {
+    std::remove((dir + "/" + graph::ShardFileName(i)).c_str());
+  }
+  ::rmdir(dir.c_str());
 }
 
 TEST(FsgTest, SelfLoopPatterns) {

@@ -171,114 +171,6 @@ TEST(TidSetTest, UnionMatchesReferenceAcrossEncodings) {
   }
 }
 
-/// Reference for SpliceUnion: shift `b` by `offset`, union into `a`.
-std::vector<std::uint32_t> ReferenceSplice(
-    const std::vector<std::uint32_t>& a, const std::vector<std::uint32_t>& b,
-    std::uint32_t offset) {
-  std::vector<std::uint32_t> shifted;
-  shifted.reserve(b.size());
-  for (const std::uint32_t tid : b) shifted.push_back(tid + offset);
-  return ReferenceUnion(a, shifted);
-}
-
-// The per-shard merge kernel (DESIGN.md §16): splicing a shard-local set
-// at its global base must equal the shifted reference union for every
-// encoding pair, whether the spliced range appends past the accumulator
-// (the ascending-shard fast path) or overlaps it (the merge path).
-TEST(TidSetTest, SpliceUnionMatchesReferenceAcrossEncodings) {
-  const std::uint32_t universe = 512;
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    for (const std::uint32_t da : {2u, 35u}) {
-      for (const std::uint32_t db : {3u, 40u}) {
-        const auto va = SampleTids(universe, da, seed * 2 + 40);
-        const auto vb = SampleTids(universe, db, seed * 2 + 41);
-        // offset == universe exercises the pure append; universe / 2 an
-        // overlapping splice; 0 a plain union through the splice path.
-        for (const std::uint32_t offset : {universe, universe / 2, 0u}) {
-          const auto expect = ReferenceSplice(va, vb, offset);
-          for (const Encoding ea : {Encoding::kSparse, Encoding::kBitmap}) {
-            for (const Encoding eb :
-                 {Encoding::kSparse, Encoding::kBitmap}) {
-              TidSet a = Make(va, universe, ea);
-              a.SpliceUnion(Make(vb, universe, eb), offset);
-              EXPECT_EQ(a.ToVector(), expect)
-                  << "seed=" << seed << " da=" << da << " db=" << db
-                  << " offset=" << offset << " ea=" << int(ea)
-                  << " eb=" << int(eb);
-              EXPECT_EQ(a.Cardinality(), expect.size());
-              EXPECT_GE(a.universe(), offset + universe);
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-// Aggregating shards in ascending base order — exactly what the miners'
-// level-1 support counting does — must equal one flat set over the
-// global tid space, for any cut of the universe into shards.
-TEST(TidSetTest, SpliceUnionReassemblesShardedSets) {
-  const std::uint32_t universe = 900;
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    const auto global = SampleTids(universe, 20, seed + 60);
-    for (const std::uint32_t shard_size : {1u, 64u, 299u, 900u}) {
-      for (const Encoding enc : {Encoding::kSparse, Encoding::kBitmap}) {
-        TidSet acc;
-        acc.ConvertTo(enc);
-        for (std::uint32_t base = 0; base < universe; base += shard_size) {
-          const std::uint32_t end = std::min(universe, base + shard_size);
-          // The shard-local set: global tids in [base, end), rebased.
-          std::vector<std::uint32_t> local;
-          for (const std::uint32_t tid : global) {
-            if (tid >= base && tid < end) local.push_back(tid - base);
-          }
-          acc.SpliceUnion(TidSet::FromSorted(local, end - base), base);
-        }
-        EXPECT_EQ(acc.ToVector(), global)
-            << "seed=" << seed << " shard_size=" << shard_size
-            << " enc=" << int(enc);
-        EXPECT_EQ(acc, TidSet::FromSorted(global, universe));
-      }
-    }
-  }
-}
-
-TEST(TidSetTest, SpliceUnionEmptyShardStillRaisesUniverse) {
-  for (const Encoding enc : {Encoding::kSparse, Encoding::kBitmap}) {
-    TidSet acc = Make({1, 5}, 8, enc);
-    // An empty shard contributes no tids but must still advance the
-    // universe so later Contains/bitmap sizing covers its tid range.
-    acc.SpliceUnion(TidSet::FromSorted({}, 16), 8);
-    EXPECT_GE(acc.universe(), 24u);
-    EXPECT_EQ(acc.ToVector(), (std::vector<std::uint32_t>{1, 5}));
-    acc.SpliceUnion(Make({0, 7}, 8, enc), 16);
-    EXPECT_EQ(acc.ToVector(), (std::vector<std::uint32_t>{1, 5, 16, 23}));
-  }
-}
-
-TEST(TidSetTest, SpliceUnionAppendCrossesDensityBoundary) {
-  const TidSet::ScopedEncodingPolicy auto_policy(EncodingPolicy::kAuto);
-  // A sparse accumulator that a dense spliced shard pushes over the 1/32
-  // density boundary: the post-splice Normalize must re-encode without
-  // losing elements.
-  TidSet acc = TidSet::FromSorted(SampleTids(4096, 1, 70), 4096);
-  ASSERT_EQ(acc.encoding(), Encoding::kSparse);
-  const auto dense = SampleTids(256, 90, 71);
-  const auto expect =
-      ReferenceSplice(acc.ToVector(), dense, /*offset=*/4096);
-  TidSet shard = TidSet::FromSorted(dense, 256);
-  acc.SpliceUnion(shard, 4096);
-  EXPECT_EQ(acc.ToVector(), expect);
-  // And the reverse direction: a bitmap accumulator spliced with a tiny
-  // tail shard stays correct when Normalize flips it back to sparse.
-  TidSet bitmap_acc = Make(SampleTids(128, 60, 72), 128, Encoding::kBitmap);
-  const auto tail = SampleTids(16, 10, 73);
-  const auto expect2 = ReferenceSplice(bitmap_acc.ToVector(), tail, 4096);
-  bitmap_acc.SpliceUnion(TidSet::FromSorted(tail, 16), 4096);
-  EXPECT_EQ(bitmap_acc.ToVector(), expect2);
-}
-
 TEST(TidSetTest, IntersectWithEmptyAndDisjoint) {
   const auto tids = SampleTids(200, 30, 5);
   for (const Encoding enc : {Encoding::kSparse, Encoding::kBitmap}) {

@@ -12,10 +12,13 @@ Two input shapes are understood, matched automatically:
 
 A metric REGRESSES when the current value exceeds the baseline by more
 than the tolerance (default 20%, i.e. 0.2). Improvements never fail.
+A counter whose baseline is 0 must stay 0, since a relative tolerance
+of 0 is 0: such counters (fsg/match_steps_exhausted,
+fsg/closure_fallbacks, ...) flag work that should not happen at all.
 Baseline entries that CANNOT be compared are never silently skipped:
 a baseline counter or row absent from the fresh run is a regression
 (the workload shrank or the row key drifted), while malformed baseline
-entries (a row without "seconds") and non-positive baseline values are
+entries (a row without "seconds") and non-positive baseline times are
 reported as ::notice:: annotations — visible in the job log but never
 affecting the exit code, since there is nothing meaningful to compare.
 Counters that describe the schedule rather than the computation are
@@ -100,8 +103,10 @@ def compare_runreports(baseline, current, tolerance):
                                f"(baseline {base_value})")
             continue
         if base_value <= 0:
-            notices.append(f"counter {name} has non-positive baseline "
-                           f"{base_value}; not compared")
+            if cur_value > base_value:
+                regressions.append(f"counter {name}: {base_value} -> "
+                                   f"{cur_value} (a zero baseline must "
+                                   "stay zero)")
             continue
         if exceeds(cur_value, base_value, tolerance):
             regressions.append(

@@ -20,7 +20,10 @@
 // Resource governance (DESIGN.md §10): the mining subcommands
 // (structural, temporal, subdue, mine) accept
 //   --deadline-ms <n>      stop mining after n milliseconds of wall time
-//   --max-memory-mb <n>    cap tracked candidate/embedding memory
+//   --max-memory-mb <n>    ceiling on the estimated bytes the miners
+//                          track: FSG's retained level-1 index, frontier
+//                          and candidates, gSpan's projections, and the
+//                          resident shards of `mine --shard-dir`
 //   --max-work-ticks <n>   deterministic work budget (same tick budget =>
 //                          byte-identical partial results at any --threads)
 // A truncated run prints its outcome (deadline_exceeded,
